@@ -29,13 +29,11 @@ from .protocols import (
     Decision,
     INFINITE,
     ProtocolState,
-    RegisterRecord,
     Return,
     deltasq_activate,
     fast5_activate,
     initial_state,
     mex,
-    publish,
     slow5_activate,
     slow6_activate,
 )

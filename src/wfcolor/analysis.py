@@ -14,11 +14,10 @@ step records.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, NamedTuple
 
-from .engine import NotTerminated, StepRecord, Trace
+from .engine import NotTerminated, StepRecord, Trace, _dump
 from .model import Graph, IdAssignment, UNIQUE
 from .protocols import (
     Color,
@@ -30,10 +29,6 @@ from .protocols import (
     SLOW6,
     palette_ok,
 )
-
-
-def _dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 class ABSets(NamedTuple):
@@ -282,16 +277,21 @@ class XhatColoringObserver:
 
     def __call__(self, record: StepRecord) -> None:
         xhat = self._xhat
-        for p, rec in record.writes.items():
-            xhat[p] = rec.x
-        for p in record.writes:
+        adjacency = self._adjacency
+        writes = record.writes
+        for p, state in writes.items():
+            xhat[p] = state.x
+        checked = 0
+        for p in writes:
             xp = xhat[p]
-            for q in self._adjacency[p]:
-                self.report.checked += 1
+            neighbors = adjacency[p]
+            checked += len(neighbors)
+            for q in neighbors:
                 if xhat[q] == xp:
                     self.report.flag(
                         record.t, p, f"published ids of neighbors {p},{q} both {xp}"
                     )
+        self.report.checked += checked
 
 
 def xhat_coloring_audit(trace: Trace) -> AuditReport:

@@ -124,6 +124,14 @@ def _declared_bound(protocol: str, n: int, override: int | None) -> int | None:
     return None  # no closed-form bound for fast5 / deltasq
 
 
+def _horizon(cfg: ExperimentConfig, protocol: str, n: int) -> int:
+    if cfg.horizon is None:
+        return engine.default_horizon(protocol, n)
+    if cfg.horizon < 1:
+        raise ConfigError(f"--horizon must be at least 1, got {cfg.horizon}")
+    return cfg.horizon
+
+
 def _reseed(descriptor: schedulers.Descriptor, salt: int) -> schedulers.Descriptor:
     if isinstance(descriptor, schedulers.RandomSched):
         return schedulers.RandomSched(descriptor.p_act, _derive(descriptor.seed, salt))
@@ -150,7 +158,7 @@ def cmd_run(cfg: ExperimentConfig, from_trace: str | None = None) -> int:
         ids = _resolve_ids(cfg, graph, seed)
         protocol = cfg.protocol
         sched_text = cfg.sched or "sync"
-        horizon = cfg.horizon or engine.default_horizon(protocol, graph.node_count)
+        horizon = _horizon(cfg, protocol, graph.node_count)
     execution = engine.new_execution(graph, ids, protocol)
     scheduler = schedulers.make_scheduler(sched_text, graph.node_count)
 
@@ -222,7 +230,7 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
     n = graph.node_count
     base_seed = cfg.seed if cfg.seed is not None else _default_seed()
     protocol = cfg.protocol
-    horizon = cfg.horizon or engine.default_horizon(protocol, n)
+    horizon = _horizon(cfg, protocol, n)
     base_descriptor = schedulers.parse_descriptor(cfg.sched or "sync")
     bound = _declared_bound(protocol, n, cfg.bound)
 

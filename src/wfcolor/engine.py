@@ -1,11 +1,11 @@
 """Execution engine with write-then-read step semantics and trace recording.
 
 A step activates a set of processes simultaneously: every activated working
-process first writes its register, then all of them read their neighbors'
-registers (so simultaneous writers see each other's fresh values), and
-finally each applies its protocol transition. Activating a process that has
-already returned is a silent no-op; its register stays frozen at the last
-written value and remains readable.
+process first writes its current state to its register, then all of them
+read their neighbors' registers (so simultaneous writers see each other's
+fresh values), and finally each applies its protocol transition. Activating
+a process that has already returned is a silent no-op; its register stays
+frozen at the last written value and remains readable.
 
 Traces serialize as line-delimited JSON: a header line, one line per step
 with fields t/act/w/rd/dec, and a final line with out/tstar. Identical
@@ -29,10 +29,9 @@ from .protocols import (
     INFINITE,
     PROTOCOLS,
     ProtocolState,
-    RegisterRecord,
     Return,
+    View,
     initial_state,
-    publish,
 )
 
 
@@ -45,8 +44,8 @@ class StepRecord(NamedTuple):
 
     t: int
     activated: tuple[int, ...]
-    writes: dict[int, RegisterRecord]
-    reads: dict[int, tuple[RegisterRecord | None, ...]]
+    writes: dict[int, ProtocolState]
+    reads: dict[int, tuple[View, ...]]
     decisions: dict[int, Decision]
 
     def working(self) -> tuple[int, ...]:
@@ -89,7 +88,7 @@ class Execution:
         self.graph = graph
         self.ids = ids
         self.protocol = protocol
-        self.registers: list[RegisterRecord | None] = [None] * graph.node_count
+        self.registers: list[View] = [None] * graph.node_count
         self.states: list[ProtocolState] = [
             initial_state(protocol, x) for x in ids.ids
         ]
@@ -127,24 +126,28 @@ class Execution:
         activations = self.activations
         adjacency = self.graph.adjacency
         activate = self._activate
-        writes: dict[int, RegisterRecord] = {}
+        returned = self.returned
+        working = self.working
         for p in movers:
-            rec = publish(states[p])
-            registers[p] = rec
-            if record:
-                writes[p] = rec
-        reads: dict[int, tuple[RegisterRecord | None, ...]] = {}
+            registers[p] = states[p]
+        if record:
+            writes = {p: states[p] for p in movers}
+        reads: dict[int, tuple[View, ...]] = {}
         decisions: dict[int, Decision] = {}
         for p in movers:
-            views = tuple([registers[q] for q in adjacency[p]])
+            neighbors = adjacency[p]
+            if len(neighbors) == 2:  # every node of a cycle; spares a list per read
+                views = (registers[neighbors[0]], registers[neighbors[1]])
+            else:
+                views = tuple([registers[q] for q in neighbors])
             decision = activate(states[p], views)
             if record:
                 reads[p] = views
                 decisions[p] = decision
             activations[p] += 1
             if type(decision) is Return:
-                self.returned[p] = decision.color
-                self.working.discard(p)
+                returned[p] = decision.color
+                working.discard(p)
             else:
                 states[p] = decision.state
         if not record:
@@ -231,7 +234,7 @@ def _decode_counter(raw) -> int | float | None:
     return INFINITE if raw == "inf" else raw
 
 
-def encode_record(rec: RegisterRecord | None) -> list | None:
+def encode_record(rec: View) -> list | None:
     if rec is None:
         return None
     if rec.r is None:
@@ -239,14 +242,14 @@ def encode_record(rec: RegisterRecord | None) -> list | None:
     return [rec.x, _encode_counter(rec.r), rec.a, rec.b]
 
 
-def decode_record(raw, protocol: str) -> RegisterRecord | None:
+def decode_record(raw, protocol: str) -> View:
     if raw is None:
         return None
     if protocol == FAST5:
         x, r, a, b = raw
-        return RegisterRecord(x, a, b, _decode_counter(r))
+        return ProtocolState(protocol, x, a, b, _decode_counter(r))
     x, a, b = raw
-    return RegisterRecord(x, a, b)
+    return ProtocolState(protocol, x, a, b)
 
 
 def _encode_color(color: Color) -> int | list[int]:
@@ -316,10 +319,10 @@ def final_line(trace: Trace) -> str:
 
 def write_trace(trace: Trace, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header_line(trace.header) + "\n")
+        writer = TraceFileWriter(fh, trace.header)
         for record in trace.steps:
-            fh.write(step_line(record) + "\n")
-        fh.write(final_line(trace) + "\n")
+            writer(record)
+        writer.finish(trace)
 
 
 class TraceFileWriter:
@@ -338,10 +341,16 @@ class TraceFileWriter:
 
 
 def parse_header(line: str) -> TraceHeader:
+    """The header of a trace; a ValueError names a field it lacks."""
     raw = json.loads(line)
-    graph = from_edges(raw["graph"]["n"], [tuple(e) for e in raw["graph"]["edges"]])
-    ids = IdAssignment(tuple(raw["ids"]["values"]), raw["ids"]["kind"])
-    return TraceHeader(graph, ids, raw["protocol"], raw["sched"], raw["seed"], raw["horizon"])
+    try:
+        graph = from_edges(raw["graph"]["n"], [tuple(e) for e in raw["graph"]["edges"]])
+        ids = IdAssignment(tuple(raw["ids"]["values"]), raw["ids"]["kind"])
+        return TraceHeader(graph, ids, raw["protocol"], raw["sched"], raw["seed"], raw["horizon"])
+    except KeyError as exc:
+        raise ValueError(f"trace header has no field {exc.args[0]!r}") from None
+    except TypeError as exc:
+        raise ValueError(f"malformed trace header: {exc}") from None
 
 
 def read_trace(path: str) -> Trace:

@@ -1,10 +1,12 @@
 """The four coloring protocols as pure per-activation transition functions.
 
-Every activation takes the process's private state together with the register
-contents read from its neighbors and yields a decision: either the final
-color, or the next private state. An unwritten neighbor register reads as
-None; it equals no color and contributes to no comparison set, so a process
-that sees only unwritten registers returns immediately.
+Every activation takes the process's state together with the registers read
+from its neighbors and yields a decision: either the final color, or the next
+state. A register holds its writer's state as written: the state is an
+immutable ProtocolState, so the write stores the object itself. An unwritten
+neighbor register reads as None; it equals no color and contributes to no
+comparison set, so a process that sees only unwritten registers returns
+immediately.
 
 slow6   two-sided color pair (a, b), palette {(a, b) : a + b <= 2}, cycles
 slow5   scalar color from {0..4} chosen between the a and b components, cycles
@@ -31,20 +33,12 @@ PAIR_COLORED = (SLOW6, DELTASQ)
 
 
 class ProtocolMismatch(ValueError):
-    """A state or register record belongs to a different protocol."""
-
-
-class RegisterRecord(NamedTuple):
-    """Published single-writer register content; r is the fast5 counter."""
-
-    x: int
-    a: int
-    b: int
-    r: int | float | None = None
+    """A state or register belongs to a different protocol."""
 
 
 class ProtocolState(NamedTuple):
-    """Private per-process state; r is used by fast5 only."""
+    """A process's state, which is also what its register holds once
+    written; r is used by fast5 only."""
 
     protocol: str
     x: int
@@ -62,7 +56,7 @@ class Continue(NamedTuple):
 
 
 Decision = Union[Return, Continue]
-View = Union[RegisterRecord, None]
+View = Union[ProtocolState, None]
 
 Color = Union[int, tuple[int, int]]
 
@@ -74,11 +68,6 @@ def initial_state(protocol: str, x: int) -> ProtocolState:
     return ProtocolState(protocol, x, 0, 0, 0 if protocol == FAST5 else None)
 
 
-def publish(state: ProtocolState) -> RegisterRecord:
-    """Register content a process writes at the start of an activation."""
-    return RegisterRecord(state.x, state.a, state.b, state.r)
-
-
 def mex(values: Iterable[int]) -> int:
     """Least natural number absent from values."""
     present = values if isinstance(values, (set, frozenset)) else set(values)
@@ -88,36 +77,59 @@ def mex(values: Iterable[int]) -> int:
     return m
 
 
-def _check_views(state: ProtocolState, views: Sequence[View], protocol: str) -> None:
-    if state.protocol != protocol:
-        raise ProtocolMismatch(f"state of {state.protocol!r} fed to {protocol}")
-    wants_counter = protocol == FAST5
-    for v in views:
-        if v is not None and (v.r is not None) != wants_counter:
-            raise ProtocolMismatch(f"register {v} does not match protocol {protocol}")
-
+# The comparison sets below are int bitmasks, bit c standing for color c; the
+# least color absent from a mask m is the index of its lowest clear bit,
+# ((m + 1) & ~m).bit_length() - 1.
 
 def _two_sided_step(state: ProtocolState, views: Sequence[View], protocol: str) -> Decision:
-    _check_views(state, views, protocol)
-    a, b = state.a, state.b
+    if state.protocol != protocol:
+        raise ProtocolMismatch(f"state of {state.protocol!r} fed to {protocol}")
+    x, a, b = state.x, state.a, state.b
     fresh = True
-    for v in views:
-        if v is not None and v.a == a and v.b == b:
-            fresh = False
-            break
-    if fresh:
-        return Return((a, b))
-    x = state.x
-    above = set()
-    below = set()
+    above = below = 0
     for v in views:
         if v is None:
             continue
+        if v.protocol != protocol:
+            raise ProtocolMismatch(f"register {v} does not match protocol {protocol}")
+        if v.a == a and v.b == b:
+            fresh = False
         if v.x > x:
-            above.add(v.a)
+            above |= 1 << v.a
         elif v.x < x:
-            below.add(v.b)
-    return Continue(ProtocolState(protocol, x, mex(above), mex(below)))
+            below |= 1 << v.b
+    if fresh:
+        return Return((a, b))
+    a = ((above + 1) & ~above).bit_length() - 1
+    b = ((below + 1) & ~below).bit_length() - 1
+    return Continue(ProtocolState(protocol, x, a, b))
+
+
+def _five_color_step(
+    state: ProtocolState, views: Sequence[View], protocol: str
+) -> Return | tuple[int, int]:
+    """The coloring half of slow5 and fast5: the Return when a or b is fresh,
+    else the refreshed pair (mex(C+), mex(C))."""
+    if state.protocol != protocol:
+        raise ProtocolMismatch(f"state of {state.protocol!r} fed to {protocol}")
+    x = state.x
+    seen = above = 0
+    for v in views:
+        if v is None:
+            continue
+        if v.protocol != protocol:
+            raise ProtocolMismatch(f"register {v} does not match protocol {protocol}")
+        bits = 1 << v.a | 1 << v.b
+        seen |= bits
+        if v.x > x:
+            above |= bits
+    if not seen >> state.a & 1:
+        return Return(state.a)
+    if not seen >> state.b & 1:
+        return Return(state.b)
+    a = ((above + 1) & ~above).bit_length() - 1
+    b = ((seen + 1) & ~seen).bit_length() - 1
+    return a, b
 
 
 def slow6_activate(state: ProtocolState, views: Sequence[View]) -> Decision:
@@ -142,23 +154,10 @@ def slow5_activate(state: ProtocolState, views: Sequence[View]) -> Decision:
     """
     if len(views) != 2:
         raise ValueError(f"slow5 expects 2 neighbor views, got {len(views)}")
-    _check_views(state, views, SLOW5)
-    x = state.x
-    seen = set()
-    above = set()
-    for v in views:
-        if v is None:
-            continue
-        seen.add(v.a)
-        seen.add(v.b)
-        if v.x > x:
-            above.add(v.a)
-            above.add(v.b)
-    if state.a not in seen:
-        return Return(state.a)
-    if state.b not in seen:
-        return Return(state.b)
-    return Continue(ProtocolState(SLOW5, x, mex(above), mex(seen)))
+    step = _five_color_step(state, views, SLOW5)
+    if type(step) is Return:
+        return step
+    return Continue(ProtocolState(SLOW5, state.x, *step))
 
 
 def fast5_activate(state: ProtocolState, views: Sequence[View]) -> Decision:
@@ -178,26 +177,14 @@ def fast5_activate(state: ProtocolState, views: Sequence[View]) -> Decision:
     """
     if len(views) != 2:
         raise ValueError(f"fast5 expects 2 neighbor views, got {len(views)}")
-    _check_views(state, views, FAST5)
+    step = _five_color_step(state, views, FAST5)
+    if type(step) is Return:
+        return step
+    a, b = step
     v0, v1 = views
     x = state.x
-    seen = set()
-    above = set()
-    for v in views:
-        if v is None:
-            continue
-        seen.add(v.a)
-        seen.add(v.b)
-        if v.x > x:
-            above.add(v.a)
-            above.add(v.b)
-    if state.a not in seen:
-        return Return(state.a)
-    if state.b not in seen:
-        return Return(state.b)
-    a, b = mex(above), mex(seen)
     r, next_x = state.r, x
-    if v0 is not None and v1 is not None and r < INFINITE and r <= min(v0.r, v1.r):
+    if v0 is not None and v1 is not None and r < INFINITE and r <= v0.r and r <= v1.r:
         if v0.x < v1.x:
             lo, hi = v0.x, v1.x
         else:

@@ -25,7 +25,7 @@ from typing import Sequence, Union
 
 from .engine import new_execution
 from .model import Graph, IdAssignment
-from .protocols import ACTIVATE, Return, palette_ok, publish
+from .protocols import ACTIVATE, Return, palette_ok
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,11 @@ def parse_descriptor(text: str) -> Descriptor:
         parts = text.split(":")
         if len(parts) != 3:
             raise ValueError(f"expected rand:<p>:<seed>, got {text!r}")
-        return RandomSched(float(parts[1]), int(parts[2]))
+        try:
+            return RandomSched(float(parts[1]), int(parts[2]))
+        except ValueError:
+            raise ValueError(f"expected rand:<p>:<seed> with a number p and an "
+                             f"integer seed, got {text!r}") from None
     if text.startswith("crash:"):
         body = text[len("crash:"):]
         if ";" not in body:
@@ -94,8 +98,11 @@ def parse_descriptor(text: str) -> Descriptor:
         pairs_text, base_text = body.split(";", 1)
         pairs = []
         for item in pairs_text.split(","):
-            node_text, time_text = item.split("@")
-            pairs.append((int(node_text), int(time_text)))
+            try:
+                node_text, time_text = item.split("@")
+                pairs.append((int(node_text), int(time_text)))
+            except ValueError:
+                raise ValueError(f"crash item {item!r} in {text!r} is not <node>@<t>") from None
         return CrashSched(parse_descriptor(base_text), tuple(pairs))
     if text.startswith("replay:@"):
         body = text[len("replay:@"):]
@@ -103,7 +110,7 @@ def parse_descriptor(text: str) -> Descriptor:
             return ReplaySched(())
         return ReplaySched(
             tuple(
-                frozenset(int(p) for p in chunk.split(",") if p)
+                frozenset(_replay_node(p, text) for p in chunk.split(",") if p)
                 for chunk in body.split("|")
             )
         )
@@ -111,6 +118,13 @@ def parse_descriptor(text: str) -> Descriptor:
         path = text[len("replay:"):]
         return ReplaySched(load_schedule(path), source=path)
     raise ValueError(f"unknown scheduler descriptor {text!r}")
+
+
+def _replay_node(item: str, text: str) -> int:
+    try:
+        return int(item)
+    except ValueError:
+        raise ValueError(f"replay item {item!r} in {text!r} is not a node index") from None
 
 
 def load_schedule(path: str) -> tuple[frozenset[int], ...]:
@@ -167,9 +181,9 @@ class Scheduler:
         if isinstance(d, RoundRobin):
             return frozenset((t % self.node_count,))
         if isinstance(d, RandomSched):
-            rng = random.Random(f"rand:{d.seed}:{t}")
+            draw = random.Random(f"rand:{d.seed}:{t}").random
             p = d.p_act
-            return frozenset(i for i in range(self.node_count) if rng.random() < p)
+            return frozenset([i for i in range(self.node_count) if draw() < p])
         if isinstance(d, CrashSched):
             alive = self._base.at(t)
             dead = {node for node, start in d.crash_times if t >= start}
@@ -355,7 +369,7 @@ def exhaustive_check(
         registers, states, outputs, counts = config
         new_registers = list(registers)
         for p in movers:
-            new_registers[p] = publish(states[p])
+            new_registers[p] = states[p]
         new_states = list(states)
         new_outputs = list(outputs)
         new_counts = list(counts)

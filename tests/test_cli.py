@@ -49,6 +49,32 @@ def test_run_writes_replayable_trace(tmp_path, capsys):
     assert first.read_bytes() == second.read_bytes()
 
 
+def test_from_trace_with_malformed_header_is_usage_error(tmp_path, capsys):
+    first = tmp_path / "a.jsonl"
+    assert run_cli("run", "--protocol", "slow6", "--n", "4", "--trace", str(first)) == 0
+    lines = first.read_text().splitlines()
+    lines[0] = lines[0].replace('"horizon"', '"horizon_steps"')
+    broken = tmp_path / "broken.jsonl"
+    broken.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run_cli("run", "--from-trace", str(broken)) == 2
+    assert "no field 'horizon'" in capsys.readouterr().err
+
+
+def test_zero_horizon_is_usage_error(capsys):
+    assert run_cli("run", "--protocol", "slow6", "--n", "4", "--horizon", "0") == 2
+    assert run_cli("sweep", "--protocol", "slow6", "--n", "4", "--trials", "2",
+                   "--horizon", "0") == 2
+    assert capsys.readouterr().err.count("--horizon must be at least 1") == 2
+
+
+def test_malformed_schedule_items_are_named(capsys):
+    assert run_cli("run", "--protocol", "slow6", "--n", "4", "--sched", "crash:0;sync") == 2
+    assert "crash item '0' in 'crash:0;sync' is not <node>@<t>" in capsys.readouterr().err
+    assert run_cli("run", "--protocol", "slow6", "--n", "4", "--sched", "replay:@0,x") == 2
+    assert "replay item 'x' in 'replay:@0,x' is not a node index" in capsys.readouterr().err
+
+
 def test_sweep_triangle(capsys):
     code = run_cli(
         "sweep", "--protocol", "slow6", "--n", "6", "--trials", "5", "--sched", "rand:0.5:2",

@@ -12,7 +12,7 @@ from wfcolor.engine import (
     write_trace,
 )
 from wfcolor.model import cycle, explicit_ids, monotone_chain_ids, random_connected_graph, random_unique_ids
-from wfcolor.protocols import Continue, ProtocolState, RegisterRecord, Return, publish
+from wfcolor.protocols import Continue, ProtocolState, Return
 from wfcolor.schedulers import CrashSched, ReplaySched, Scheduler, Synchronous, make_scheduler
 
 
@@ -63,8 +63,8 @@ def test_simultaneous_neighbors_read_fresh_writes():
     # both neighbors of the step see each other's phase-1 value, not bottom
     ex = triangle_execution()
     record = ex.apply_step({0, 1})
-    assert record.reads[0] == (RegisterRecord(1, 0, 0), None)  # node 0 saw node 1
-    assert record.reads[1] == (RegisterRecord(5, 0, 0), None)  # node 1 saw node 0
+    assert record.reads[0] == (ProtocolState("slow6", 1, 0, 0), None)  # node 0 saw node 1
+    assert record.reads[1] == (ProtocolState("slow6", 5, 0, 0), None)  # node 1 saw node 0
     # neither returned: their colors collide
     assert all(isinstance(d, Continue) for d in record.decisions.values())
 
@@ -78,6 +78,16 @@ def test_first_synchronous_step_matches_hand_simulation():
     record = ex.apply_step({0, 1, 2})
     assert ex.returned == {0: (1, 1), 1: (1, 0), 2: (0, 1)}
     assert ex.activations == [2, 2, 2]
+
+
+def test_write_is_the_writers_state_before_the_activation():
+    ex = triangle_execution("fast5")
+    ex.apply_step({0, 1, 2})
+    before = list(ex.states)
+    record = ex.apply_step({0, 2})
+    assert record.writes == {0: before[0], 2: before[2]}
+    assert [ex.registers[p] for p in (0, 2)] == [before[0], before[2]]
+    assert ex.states[0] != before[0]
 
 
 def test_activating_returned_process_is_silent_noop():
@@ -98,7 +108,7 @@ def test_returned_register_stays_readable():
     record = ex.apply_step({2})
     assert record.decisions[2] == Return((0, 0))
     frozen = ex.registers[2]
-    assert frozen == RegisterRecord(9, 0, 0)
+    assert frozen == ProtocolState("slow6", 9, 0, 0)
     record = ex.apply_step({0, 1})
     assert record.reads[0][1] == frozen
     assert record.reads[1][1] == frozen
@@ -166,7 +176,7 @@ def test_write_bookkeeping_matches_local_state():
     states = {p: ProtocolState("slow5", trace.header.ids.ids[p]) for p in range(5)}
     for record in trace.steps:
         for p, rec in record.writes.items():
-            assert rec == publish(states[p])
+            assert rec == states[p]
         for p, decision in record.decisions.items():
             if isinstance(decision, Continue):
                 states[p] = decision.state

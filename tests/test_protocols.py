@@ -15,7 +15,6 @@ from wfcolor.protocols import (
     INFINITE,
     ProtocolMismatch,
     ProtocolState,
-    RegisterRecord,
     Return,
     SLOW5,
     SLOW6,
@@ -24,18 +23,17 @@ from wfcolor.protocols import (
     initial_state,
     mex,
     palette_ok,
-    publish,
     slow5_activate,
     slow6_activate,
 )
 
 
-def rec(x, a=0, b=0, r=None):
-    return RegisterRecord(x, a, b, r)
+def rec(x, a=0, b=0, protocol=SLOW6):
+    return ProtocolState(protocol, x, a, b)
 
 
 def frec(x, r=0, a=0, b=0):
-    return RegisterRecord(x, a, b, r)
+    return ProtocolState(FAST5, x, a, b, r)
 
 
 def test_mex_examples():
@@ -49,11 +47,6 @@ def test_initial_states():
     assert initial_state(FAST5, 7) == ProtocolState(FAST5, 7, 0, 0, 0)
     with pytest.raises(ValueError):
         initial_state("other", 7)
-
-
-def test_publish_projects_state():
-    state = ProtocolState(FAST5, 5, 1, 2, 3)
-    assert publish(state) == RegisterRecord(5, 1, 2, 3)
 
 
 # --- slow6 ------------------------------------------------------------------
@@ -149,9 +142,10 @@ def test_slow5_isolated_returns_a():
 
 
 def test_slow5_first_synchronous_round_on_triangle():
-    d9 = slow5_activate(initial_state(SLOW5, 9), (rec(5), rec(1)))
-    d1 = slow5_activate(initial_state(SLOW5, 1), (rec(5), rec(9)))
-    d5 = slow5_activate(initial_state(SLOW5, 5), (rec(1), rec(9)))
+    r5, r1, r9 = (rec(x, protocol=SLOW5) for x in (5, 1, 9))
+    d9 = slow5_activate(initial_state(SLOW5, 9), (r5, r1))
+    d1 = slow5_activate(initial_state(SLOW5, 1), (r5, r9))
+    d5 = slow5_activate(initial_state(SLOW5, 5), (r1, r9))
     assert d9 == Continue(ProtocolState(SLOW5, 9, 0, 1))
     assert d1 == Continue(ProtocolState(SLOW5, 1, 1, 1))
     assert d5 == Continue(ProtocolState(SLOW5, 5, 1, 1))
@@ -170,7 +164,7 @@ def slow5_cases(draw, protocol=SLOW5):
         if draw(st.booleans()):
             vx = draw(view_values.filter(lambda v, x=x: v != x))
             r = draw(st.sampled_from([0, 1, 2, INFINITE])) if protocol == FAST5 else None
-            views.append(RegisterRecord(vx, draw(colors), draw(colors), r))
+            views.append(ProtocolState(protocol, vx, draw(colors), draw(colors), r))
         else:
             views.append(None)
     return state, tuple(views)
@@ -284,6 +278,13 @@ def test_fast5_rejects_counterless_views():
         fast5_activate(initial_state(FAST5, 5), (rec(3), None))
 
 
+def test_registers_of_another_protocol_are_rejected():
+    with pytest.raises(ProtocolMismatch):
+        slow6_activate(initial_state(SLOW6, 5), (rec(3, protocol=SLOW5), None))
+    with pytest.raises(ProtocolMismatch):
+        slow5_activate(initial_state(SLOW5, 5), (None, rec(3, protocol=DELTASQ)))
+
+
 # --- deltasq ----------------------------------------------------------------
 
 def test_deltasq_isolated_returns_zero_pair():
@@ -292,7 +293,7 @@ def test_deltasq_isolated_returns_zero_pair():
 
 def test_deltasq_star_center_bumps_a():
     state = initial_state(DELTASQ, 2)
-    decision = deltasq_activate(state, (rec(5), rec(7), rec(9)))
+    decision = deltasq_activate(state, tuple(rec(x, protocol=DELTASQ) for x in (5, 7, 9)))
     assert decision == Continue(ProtocolState(DELTASQ, 2, 1, 0))
 
 
@@ -300,8 +301,9 @@ def test_deltasq_star_center_bumps_a():
 def test_deltasq_matches_slow6_on_degree_two(case):
     state, views = case
     mirrored = ProtocolState(DELTASQ, state.x, state.a, state.b)
+    mirrored_views = tuple(v and v._replace(protocol=DELTASQ) for v in views)
     expected = slow6_activate(state, views)
-    got = deltasq_activate(mirrored, views)
+    got = deltasq_activate(mirrored, mirrored_views)
     if isinstance(expected, Return):
         assert got == expected
     else:
