@@ -209,13 +209,12 @@ def parity_audit(trace: Trace) -> AuditReport:
     return report
 
 
-def ab_exclusion_audit(trace: Trace, check_b: bool | None = None) -> AuditReport:
+def ab_exclusion_audit(trace: Trace) -> AuditReport:
     """Everything heard of upward lies above the own published identifier,
     and (for unique-identifier inputs) everything heard of downward lies
     below it."""
     _require_protocol(trace, SLOW6, "ab_exclusion")
-    if check_b is None:
-        check_b = trace.header.ids.kind == UNIQUE
+    check_b = trace.header.ids.kind == UNIQUE
     report = AuditReport("ab_exclusion")
     n = trace.header.graph.node_count
     for scan in _scan(trace):
@@ -379,6 +378,17 @@ def slow6_bound(ell: int, ell_prime: int) -> int:
     return min(3 * ell, 3 * ell_prime, ell + ell_prime) + 4
 
 
+def declared_bound(protocol: str, n: int) -> int | None:
+    """The declared worst-case working activations of any node on the
+    n-cycle: floor(3n/2) + 4 for slow6, 3n + 8 for slow5, and None for
+    protocols without a closed-form bound."""
+    if protocol == SLOW6:
+        return 3 * n // 2 + 4
+    if protocol == SLOW5:
+        return 3 * n + 8
+    return None
+
+
 def activation_bound_audit(trace: Trace) -> AuditReport:
     """Per-node activation counts against the protocol's declared bounds.
 
@@ -393,7 +403,7 @@ def activation_bound_audit(trace: Trace) -> AuditReport:
     n = graph.node_count
     distances = monotone_distances(ids, graph)
     report = AuditReport("activation_bound")
-    global_bound = 3 * n // 2 + 4 if protocol == SLOW6 else 3 * n + 8
+    global_bound = declared_bound(protocol, n)
     for p in range(n):
         count = trace.activations.get(p, 0)
         ell, ell_prime = distances[p]

@@ -71,7 +71,14 @@ class ExperimentConfig:
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in known:
                 raise ConfigError(f"config line {lineno}: unknown key {key!r}")
-            setattr(cfg, key, int(value) if key in cls._INTS else value)
+            if key in cls._INTS:
+                try:
+                    value = int(value)
+                except ValueError:
+                    raise ConfigError(
+                        f"config line {lineno}: {key} must be an integer, got {value!r}"
+                    ) from None
+            setattr(cfg, key, value)
         return cfg
 
     def override(self, **values) -> None:
@@ -86,10 +93,19 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("WFC_SEED", "0"))
+    text = os.environ.get("WFC_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(f"WFC_SEED must be an integer, got {text!r}") from None
 
 
-def _resolve_graph(cfg: ExperimentConfig) -> model.Graph:
+def _experiment(cfg: ExperimentConfig) -> model.Graph:
+    """Checks the settings every command shares and returns the graph."""
+    if cfg.protocol not in PROTOCOLS:
+        raise ConfigError(f"--protocol must be one of {'|'.join(PROTOCOLS)}")
+    if cfg.bound is not None and cfg.bound < 0:
+        raise ConfigError(f"--bound must be at least 0, got {cfg.bound}")
     if cfg.graph is not None:
         return model.load_edge_list(cfg.graph)
     if cfg.n is not None:
@@ -106,22 +122,16 @@ def _resolve_ids(cfg: ExperimentConfig, graph: model.Graph, seed: int) -> model.
             raise ConfigError("chain ids are defined on cycles")
         return model.monotone_chain_ids(graph.node_count)
     if mode.startswith("proper:"):
-        return model.proper_coloring_ids(graph, int(mode.split(":", 1)[1]), seed=seed)
+        try:
+            k = int(mode.split(":", 1)[1])
+        except ValueError:
+            raise ConfigError(f"id mode {mode!r} is not proper:<k> with an integer k") from None
+        return model.proper_coloring_ids(graph, k, seed=seed)
     if mode.startswith("file:"):
         return model.load_ids(mode.split(":", 1)[1], graph)
     if _INLINE_IDS.match(mode):
         return model.explicit_ids(graph, [int(v) for v in mode.split(",")])
     raise ConfigError(f"unknown id mode {mode!r}")
-
-
-def _declared_bound(protocol: str, n: int, override: int | None) -> int | None:
-    if override is not None:
-        return override
-    if protocol == SLOW6:
-        return 3 * n // 2 + 4
-    if protocol == SLOW5:
-        return 3 * n + 8
-    return None  # no closed-form bound for fast5 / deltasq
 
 
 def _horizon(cfg: ExperimentConfig, protocol: str, n: int) -> int:
@@ -144,6 +154,22 @@ def _derive(seed: int, index: int) -> int:
     return seed * 1_000_003 + index
 
 
+def _fast5_observers(protocol: str, graph: model.Graph) -> list:
+    """The streaming audit of fast5's published-identifier coloring."""
+    return [analysis.XhatColoringObserver(graph)] if protocol == FAST5 else []
+
+
+def _outcome_audits(
+    graph: model.Graph, protocol: str, trace: engine.Trace, observers: list
+) -> list[analysis.AuditReport]:
+    """What a run returned is a proper coloring inside the palette, and no
+    audit observer flagged a step."""
+    return [
+        analysis.check_proper_coloring(graph, trace.outputs),
+        analysis.check_palette(trace.outputs, protocol, graph.max_degree),
+    ] + [observer.report for observer in observers]
+
+
 def cmd_run(cfg: ExperimentConfig, from_trace: str | None = None) -> int:
     if from_trace is not None:
         header = _read_header(from_trace)
@@ -151,10 +177,8 @@ def cmd_run(cfg: ExperimentConfig, from_trace: str | None = None) -> int:
         protocol, sched_text = header.protocol, header.sched
         seed, horizon = header.seed, header.horizon
     else:
-        if cfg.protocol not in PROTOCOLS:
-            raise ConfigError(f"--protocol must be one of {'|'.join(PROTOCOLS)}")
-        graph = _resolve_graph(cfg)
-        seed = cfg.seed if cfg.seed is not None else _default_seed()
+        graph = _experiment(cfg)
+        seed = cfg.seed
         ids = _resolve_ids(cfg, graph, seed)
         protocol = cfg.protocol
         sched_text = cfg.sched or "sync"
@@ -162,11 +186,8 @@ def cmd_run(cfg: ExperimentConfig, from_trace: str | None = None) -> int:
     execution = engine.new_execution(graph, ids, protocol)
     scheduler = schedulers.make_scheduler(sched_text, graph.node_count)
 
-    observers = []
-    xhat_observer = None
-    if protocol == FAST5:
-        xhat_observer = analysis.XhatColoringObserver(graph)
-        observers.append(xhat_observer)
+    audit_observers = _fast5_observers(protocol, graph)
+    observers = list(audit_observers)
     writer = None
     trace_fh = None
     if cfg.trace:
@@ -183,10 +204,7 @@ def cmd_run(cfg: ExperimentConfig, from_trace: str | None = None) -> int:
         writer.finish(trace)
         trace_fh.close()
 
-    reports = [
-        analysis.check_proper_coloring(graph, trace.outputs),
-        analysis.check_palette(trace.outputs, protocol, graph.max_degree),
-    ]
+    reports = _outcome_audits(graph, protocol, trace, audit_observers)
     if protocol in (SLOW6, SLOW5):
         reports.append(analysis.activation_bound_audit(trace))
     if protocol == SLOW6:
@@ -195,8 +213,6 @@ def cmd_run(cfg: ExperimentConfig, from_trace: str | None = None) -> int:
         reports.append(analysis.ab_growth_audit(trace))
     if protocol == SLOW5:
         reports.append(analysis.stop_rule_audit(trace))
-    if xhat_observer is not None:
-        reports.append(xhat_observer.report)
 
     max_activations = max(trace.activations.values(), default=0)
     if trace.terminated:
@@ -217,49 +233,41 @@ def cmd_run(cfg: ExperimentConfig, from_trace: str | None = None) -> int:
 
 def _read_header(path: str) -> engine.TraceHeader:
     with open(path, encoding="utf-8") as fh:
-        return engine.parse_header(fh.readline())
+        line = fh.readline()
+    try:
+        return engine.parse_header(line)
+    except ValueError as exc:
+        raise ConfigError(f"trace file {path}: {exc}") from None
 
 
 def cmd_sweep(cfg: ExperimentConfig) -> int:
-    if cfg.protocol not in PROTOCOLS:
-        raise ConfigError(f"--protocol must be one of {'|'.join(PROTOCOLS)}")
+    graph = _experiment(cfg)
     trials = cfg.trials if cfg.trials is not None else 0
     if trials < 1:
         raise ConfigError("--trials must be at least 1")
-    graph = _resolve_graph(cfg)
     n = graph.node_count
-    base_seed = cfg.seed if cfg.seed is not None else _default_seed()
     protocol = cfg.protocol
     horizon = _horizon(cfg, protocol, n)
     base_descriptor = schedulers.parse_descriptor(cfg.sched or "sync")
-    bound = _declared_bound(protocol, n, cfg.bound)
+    bound = cfg.bound if cfg.bound is not None else analysis.declared_bound(protocol, n)
 
+    def trial_inputs(trial: int) -> tuple[int, engine.Execution, schedulers.Scheduler]:
+        seed = _derive(cfg.seed, trial)
+        execution = engine.new_execution(graph, _resolve_ids(cfg, graph, seed), protocol)
+        return seed, execution, schedulers.Scheduler(_reseed(base_descriptor, trial), n)
+
+    first = trial_inputs(0)  # a malformed id mode or schedule exits 2 before any output
     print("trial\tseed\tterminated\ttstar\tmax_act\tviolations")
     failures = 0
     maxima = []
     for trial in range(trials):
-        seed = _derive(base_seed, trial)
-        ids = _resolve_ids(cfg, graph, seed)
-        descriptor = _reseed(base_descriptor, trial)
-        scheduler = schedulers.Scheduler(descriptor, n)
-        execution = engine.new_execution(graph, ids, protocol)
-        observers = []
-        xhat_observer = None
-        if protocol == FAST5:
-            xhat_observer = analysis.XhatColoringObserver(graph)
-            observers.append(xhat_observer)
+        seed, execution, scheduler = trial_inputs(trial) if trial else first
+        observers = _fast5_observers(protocol, graph)
         trace = engine.run(execution, scheduler, horizon, observers, False, seed)
-        problems = []
-        if not trace.terminated:
-            problems.append("non-terminated")
-        for report in (
-            analysis.check_proper_coloring(graph, trace.outputs),
-            analysis.check_palette(trace.outputs, protocol, graph.max_degree),
-        ):
-            if not report.passed:
-                problems.append(report.name)
-        if xhat_observer is not None and not xhat_observer.report.passed:
-            problems.append(xhat_observer.report.name)
+        problems = [] if trace.terminated else ["non-terminated"]
+        problems += [
+            r.name for r in _outcome_audits(graph, protocol, trace, observers) if not r.passed
+        ]
         max_act = max(trace.activations.values(), default=0)
         maxima.append(max_act)
         if bound is not None and max_act > bound:
@@ -279,15 +287,10 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
 
 
 def cmd_mc(cfg: ExperimentConfig) -> int:
-    if cfg.protocol not in PROTOCOLS:
-        raise ConfigError(f"--protocol must be one of {'|'.join(PROTOCOLS)}")
-    graph = _resolve_graph(cfg)
-    if graph.node_count > 5:
-        raise ConfigError("exhaustive checking is limited to 5 nodes")
+    graph = _experiment(cfg)
     if cfg.bound is None:
         raise ConfigError("mc needs --bound")
-    seed = cfg.seed if cfg.seed is not None else _default_seed()
-    ids = _resolve_ids(cfg, graph, seed)
+    ids = _resolve_ids(cfg, graph, cfg.seed)
     try:
         report = schedulers.exhaustive_check(graph, ids, cfg.protocol, cfg.bound)
     except schedulers.StateSpaceExceeded as exc:
@@ -304,20 +307,26 @@ def cmd_mc(cfg: ExperimentConfig) -> int:
         print(f"bound violation: node {node} reached {count} > {cfg.bound}")
         if report.bound_schedule is not None:
             print(f"  schedule: {list(report.bound_schedule)}")
-    return OK if report.verdict == "pass" else VIOLATION
+    if report.verdict == "pass":
+        return OK
+    if cfg.trace:
+        schedule = report.bound_schedule
+        if report.safety_violations:
+            schedule = report.safety_violations[0].schedule
+        schedulers.save_schedule(schedule, cfg.trace)
+        print(f"counterexample schedule written to {cfg.trace}")
+    return VIOLATION
 
 
 def cmd_worstcase(cfg: ExperimentConfig) -> int:
-    if cfg.protocol not in PROTOCOLS:
-        raise ConfigError(f"--protocol must be one of {'|'.join(PROTOCOLS)}")
-    graph = _resolve_graph(cfg)
-    seed = cfg.seed if cfg.seed is not None else _default_seed()
-    ids = _resolve_ids(cfg, graph, seed)
+    graph = _experiment(cfg)
+    ids = _resolve_ids(cfg, graph, cfg.seed)
     budget = cfg.budget if cfg.budget is not None else 200
     descriptor, worst = schedulers.worst_case_search(
-        graph, ids, cfg.protocol, budget, seed
+        graph, ids, cfg.protocol, budget, cfg.seed
     )
-    bound = _declared_bound(cfg.protocol, graph.node_count, cfg.bound)
+    n = graph.node_count
+    bound = cfg.bound if cfg.bound is not None else analysis.declared_bound(cfg.protocol, n)
     print(f"worst_max_activations: {worst}")
     if cfg.trace:
         schedulers.save_schedule(descriptor.sets, cfg.trace)
@@ -370,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--sched", help="scheduler descriptor (default: sync)")
         p.add_argument("--horizon", type=int)
         p.add_argument("--trials", type=int)
-        p.add_argument("--trace", help="output path (trace file, or schedule for worstcase)")
+        p.add_argument("--trace", help="output path (trace file, or schedule for mc and worstcase)")
         p.add_argument("--bound", type=int, help="activation bound to check against")
         p.add_argument("--budget", type=int, help="search budget for worstcase")
 
@@ -394,19 +403,9 @@ def main(argv: list[str] | None = None) -> int:
         return cmd_lemmas()
     try:
         cfg = load_config(args.config) if args.config else ExperimentConfig()
-        cfg.override(
-            protocol=args.protocol,
-            n=args.n,
-            graph=args.graph,
-            ids=args.ids,
-            seed=args.seed,
-            sched=args.sched,
-            horizon=args.horizon,
-            trials=args.trials,
-            trace=args.trace,
-            bound=args.bound,
-            budget=args.budget,
-        )
+        cfg.override(**{f.name: getattr(args, f.name) for f in fields(ExperimentConfig)})
+        if cfg.seed is None:
+            cfg.seed = _default_seed()
         if args.command == "run":
             return cmd_run(cfg, getattr(args, "from_trace", None))
         if args.command == "sweep":

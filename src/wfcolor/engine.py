@@ -7,6 +7,9 @@ fresh values), and finally each applies its protocol transition. Activating
 a process that has already returned is a silent no-op; its register stays
 frozen at the last written value and remains readable.
 
+`step` is the one definition of that semantics: `Execution.apply_step` and
+the exhaustive model checker both call it.
+
 Traces serialize as line-delimited JSON: a header line, one line per step
 with fields t/act/w/rd/dec, and a final line with out/tstar. Identical
 inputs produce byte-identical trace files.
@@ -47,10 +50,6 @@ class StepRecord(NamedTuple):
     writes: dict[int, ProtocolState]
     reads: dict[int, tuple[View, ...]]
     decisions: dict[int, Decision]
-
-    def working(self) -> tuple[int, ...]:
-        """Activated processes that were still working at this step."""
-        return tuple(sorted(self.decisions))
 
 
 @dataclass(frozen=True)
@@ -113,46 +112,62 @@ class Execution:
         which keeps long unobserved runs cheap; the effect on the execution
         is identical either way.
         """
-        acts = set(activated)
-        n = self.graph.node_count
-        for p in acts:
-            if not 0 <= p < n:
-                raise ValueError(f"unknown node index {p}")
+        acts = frozenset(activated)  # no copy when the scheduler hands over a frozenset
+        if not acts <= self.working:  # else every activated node is a working one
+            n = self.graph.node_count
+            for p in acts:
+                if not 0 <= p < n:
+                    raise ValueError(f"unknown node index {p}")
         self._t += 1
         movers = sorted(acts & self.working)
         self.last_movers = len(movers)
-        registers = self.registers
-        states = self.states
+        views, decisions = step(
+            self.registers, self.states, movers, self.graph.adjacency, self._activate
+        )
         activations = self.activations
-        adjacency = self.graph.adjacency
-        activate = self._activate
         returned = self.returned
         working = self.working
-        for p in movers:
-            registers[p] = states[p]
-        if record:
-            writes = {p: states[p] for p in movers}
-        reads: dict[int, tuple[View, ...]] = {}
-        decisions: dict[int, Decision] = {}
-        for p in movers:
-            neighbors = adjacency[p]
-            if len(neighbors) == 2:  # every node of a cycle; spares a list per read
-                views = (registers[neighbors[0]], registers[neighbors[1]])
-            else:
-                views = tuple([registers[q] for q in neighbors])
-            decision = activate(states[p], views)
-            if record:
-                reads[p] = views
-                decisions[p] = decision
+        for p, decision in zip(movers, decisions):
             activations[p] += 1
             if type(decision) is Return:
                 returned[p] = decision.color
                 working.discard(p)
-            else:
-                states[p] = decision.state
         if not record:
             return None
-        return StepRecord(self._t, tuple(sorted(acts)), writes, reads, decisions)
+        writes = {p: self.registers[p] for p in movers}
+        return StepRecord(self._t, tuple(sorted(acts)), writes,
+                          dict(zip(movers, views)), dict(zip(movers, decisions)))
+
+
+def step(
+    registers: list[View],
+    states: list[ProtocolState],
+    movers: Sequence[int],
+    adjacency: Sequence[Sequence[int]],
+    activate: Callable[[ProtocolState, tuple[View, ...]], Decision],
+) -> tuple[list[tuple[View, ...]], list[Decision]]:
+    """One write-then-read step of the working processes in movers, in place.
+
+    Every mover writes its state to its register; then each reads its
+    neighbors' registers and activates, and a Continue replaces its state.
+    Returns the views and the decisions, in mover order.
+    """
+    for p in movers:
+        registers[p] = states[p]
+    views_of = []
+    decisions = []
+    for p in movers:
+        neighbors = adjacency[p]
+        if len(neighbors) == 2:  # every node of a cycle; spares a list per read
+            views = (registers[neighbors[0]], registers[neighbors[1]])
+        else:
+            views = tuple([registers[q] for q in neighbors])
+        decision = activate(states[p], views)
+        if type(decision) is Continue:
+            states[p] = decision.state
+        views_of.append(views)
+        decisions.append(decision)
+    return views_of, decisions
 
 
 def new_execution(graph: Graph, ids: IdAssignment, protocol: str) -> Execution:
@@ -342,11 +357,13 @@ class TraceFileWriter:
 
 def parse_header(line: str) -> TraceHeader:
     """The header of a trace; a ValueError names a field it lacks."""
-    raw = json.loads(line)
     try:
+        raw = json.loads(line)
         graph = from_edges(raw["graph"]["n"], [tuple(e) for e in raw["graph"]["edges"]])
         ids = IdAssignment(tuple(raw["ids"]["values"]), raw["ids"]["kind"])
         return TraceHeader(graph, ids, raw["protocol"], raw["sched"], raw["seed"], raw["horizon"])
+    except json.JSONDecodeError:
+        raise ValueError("trace header is not a JSON line") from None
     except KeyError as exc:
         raise ValueError(f"trace header has no field {exc.args[0]!r}") from None
     except TypeError as exc:

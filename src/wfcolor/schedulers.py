@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
-from .engine import new_execution
+from .engine import new_execution, step
 from .model import Graph, IdAssignment
 from .protocols import ACTIVATE, Return, palette_ok
 
@@ -130,15 +130,19 @@ def _replay_node(item: str, text: str) -> int:
 def load_schedule(path: str) -> tuple[frozenset[int], ...]:
     sets = []
     with open(path, encoding="utf-8") as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, 1):
             if raw.lstrip().startswith("#"):
                 continue
             line = raw.split("#", 1)[0].strip()
-            sets.append(frozenset(int(p) for p in line.split()))
+            try:
+                sets.append(frozenset(int(p) for p in line.split()))
+            except ValueError:
+                raise ValueError(f"schedule file {path} line {lineno}: expected node "
+                                 f"indices, got {raw.strip()!r}") from None
     return tuple(sets)
 
 
-def save_schedule(sets: Sequence[frozenset[int]], path: str) -> None:
+def save_schedule(sets: Sequence[Iterable[int]], path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for s in sets:
             fh.write(" ".join(str(p) for p in sorted(s)) + "\n")
@@ -222,7 +226,7 @@ def _max_working_activations(
 ) -> int:
     ex = new_execution(graph, ids, protocol)
     for s in sets:
-        ex.apply_step(s)
+        ex.apply_step(s, record=False)
         if ex.all_returned():
             break
     return max(ex.activations)
@@ -320,13 +324,12 @@ def exhaustive_check(
     protocol: str,
     activation_bound: int | None,
     config_ceiling: int = 10_000_000,
-    delta: int | None = None,
 ) -> McReport:
     """Explore every schedule of a tiny instance up to the activation bound.
 
     Branches over all non-empty subsets of working processes at every step
     (the empty set cannot affect any assertion), memoizes configurations
-    (registers, states, outputs, capped activation counts), and checks at
+    (registers, states, outputs, activation counts), and checks at
     every new configuration that returned neighbors hold distinct in-palette
     colors and that no process worked past the activation bound. Exploration
     stops at the first violation found.
@@ -339,13 +342,13 @@ def exhaustive_check(
     n = graph.node_count
     if n > 5:
         raise ValueError(f"exhaustive check is limited to 5 nodes, got {n}")
+    if activation_bound is not None and activation_bound < 0:
+        raise ValueError(f"activation bound must be at least 0, got {activation_bound}")
     base = new_execution(graph, ids, protocol)
-    if delta is None:
-        delta = graph.max_degree
+    delta = graph.max_degree
     adjacency = graph.adjacency
     activate = ACTIVATE[protocol]
     counted = activation_bound is not None
-    cap = activation_bound + 1 if counted else 0
 
     initial = (
         tuple(base.registers),
@@ -368,29 +371,22 @@ def exhaustive_check(
         movers = pending.pop()
         registers, states, outputs, counts = config
         new_registers = list(registers)
-        for p in movers:
-            new_registers[p] = states[p]
         new_states = list(states)
+        _, decisions = step(new_registers, new_states, movers, adjacency, activate)
         new_outputs = list(outputs)
         new_counts = list(counts)
         fresh_returns = []
-        for p in movers:
-            views = tuple(new_registers[q] for q in adjacency[p])
-            decision = activate(new_states[p], views)
+        taken = tuple(path) + (movers,)
+        for p, decision in zip(movers, decisions):
             if counted:
-                new_counts[p] = min(new_counts[p] + 1, cap)
-            if isinstance(decision, Return):
-                new_outputs[p] = decision.color
-                fresh_returns.append(p)
-            else:
-                new_states[p] = decision.state
-        taken = tuple(path) + (tuple(movers),)
-        if counted:
-            for p in movers:
+                new_counts[p] += 1
                 if new_counts[p] > activation_bound:
                     report.bound_violations.append((p, new_counts[p]))
                     report.bound_schedule = taken
                     return report
+            if type(decision) is Return:
+                new_outputs[p] = decision.color
+                fresh_returns.append(p)
         for p in fresh_returns:
             color = new_outputs[p]
             if not palette_ok(protocol, color, delta):

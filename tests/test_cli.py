@@ -1,4 +1,13 @@
+import contextlib
+import io
+
+import pytest
+from hypothesis import event, given, settings, strategies as st
+
 from wfcolor.cli import ExperimentConfig, main
+from wfcolor.engine import new_execution
+from wfcolor.model import cycle, explicit_ids
+from wfcolor.schedulers import load_schedule
 
 
 def run_cli(*argv):
@@ -198,3 +207,133 @@ def test_run_graph_file_deltasq(tmp_path, capsys):
     assert code == 0
     assert "audit proper_coloring: pass" in out
     assert "audit palette: pass" in out
+
+
+def test_config_value_that_is_not_an_integer_is_named(tmp_path, capsys):
+    path = tmp_path / "exp.cfg"
+    path.write_text("protocol=slow6\nn=abc\n")
+    assert run_cli("run", "--config", str(path)) == 2
+    assert "config line 2: n must be an integer, got 'abc'" in capsys.readouterr().err
+
+
+def test_wfc_seed_that_is_not_an_integer_is_named(capsys, monkeypatch):
+    monkeypatch.setenv("WFC_SEED", "x")
+    assert run_cli("run", "--protocol", "slow6", "--n", "4") == 2
+    assert "WFC_SEED must be an integer, got 'x'" in capsys.readouterr().err
+
+
+def test_proper_ids_without_an_integer_are_named(capsys):
+    assert run_cli("run", "--protocol", "slow6", "--n", "4", "--ids", "proper:x") == 2
+    assert "id mode 'proper:x' is not proper:<k> with an integer k" in capsys.readouterr().err
+
+
+def test_schedule_file_item_that_is_not_a_node_is_named(tmp_path, capsys):
+    path = tmp_path / "bad.sched"
+    path.write_text("0 1\n# comment\n2 y\n")
+    assert run_cli("run", "--protocol", "slow6", "--n", "4", "--sched", f"replay:{path}") == 2
+    assert f"schedule file {path} line 3: expected node indices, got '2 y'" in (
+        capsys.readouterr().err
+    )
+
+
+def test_from_trace_that_is_not_json_names_the_file(tmp_path, capsys):
+    for name, text in (("empty.jsonl", ""), ("text.jsonl", "not a trace\n")):
+        path = tmp_path / name
+        path.write_text(text)
+        assert run_cli("run", "--from-trace", str(path)) == 2
+        assert f"trace file {path}: trace header is not a JSON line" in capsys.readouterr().err
+
+
+def test_mc_negative_bound_is_usage_error(capsys):
+    code = run_cli("mc", "--protocol", "slow6", "--n", "3", "--ids", "1,2,5", "--bound", "-1")
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "--bound must be at least 0" in captured.err
+    assert captured.out == ""
+
+
+def test_sweep_validates_before_any_output(capsys):
+    code = run_cli("sweep", "--protocol", "slow6", "--n", "4", "--trials", "2",
+                   "--sched", "replay:@0,1|9")
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "replay schedule node 9 out of range" in captured.err
+
+
+def test_mc_writes_counterexample_schedule_that_replays(tmp_path, capsys):
+    path = tmp_path / "counterexample.sched"
+    code = run_cli("mc", "--protocol", "slow6", "--n", "3", "--ids", "1,2,5", "--bound", "1",
+                   "--trace", str(path))
+    out = capsys.readouterr().out
+    assert code == 1
+    assert f"counterexample schedule written to {path}" in out
+    graph = cycle(3)
+    ex = new_execution(graph, explicit_ids(graph, [1, 2, 5]), "slow6")
+    for step in load_schedule(str(path)):
+        ex.apply_step(step)
+    assert max(ex.activations) > 1
+
+
+def test_mc_pass_writes_no_schedule(tmp_path, capsys):
+    path = tmp_path / "none.sched"
+    code = run_cli("mc", "--protocol", "slow6", "--n", "3", "--ids", "1,2,5", "--bound", "8",
+                   "--trace", str(path))
+    assert code == 0
+    assert not path.exists()
+
+
+_FLAG_TOKENS = {
+    "--protocol": ["slow6", "slow5", "fast5", "deltasq", "bogus"],
+    "--n": ["-1", "0", "3", "4", "5", "6", "x"],
+    "--ids": ["random", "chain", "proper:3", "proper:1", "proper:x", "1,2,5", "1,1,2",
+              "file:{dir}/missing.ids", "bogus"],
+    "--sched": ["sync", "rr", "rand:0.5:1", "rand:2:1", "rand:x", "crash:0@2;sync",
+                "crash:9@1;rr", "crash:0;sync", "replay:@0,1|2", "replay:@0,x", "replay:@9",
+                "replay:{dir}/bad.sched", "replay:{dir}/missing.sched", "bogus"],
+    "--seed": ["0", "7", "x"],
+    "--bound": ["-1", "0", "2", "x"],
+    "--horizon": ["-1", "0", "1", "50", "x"],
+    "--trials": ["-1", "0", "1", "2", "x"],
+    "--budget": ["-1", "0", "1", "5", "x"],
+    "--trace": ["{dir}/out.txt", "{dir}/no/such/dir/out.txt"],
+}
+_CONFIG_LINES = ["protocol=slow6", "protocol=nope", "n=4", "n=abc", "ids=chain", "seed=x",
+                 "trials=2", "budget=3", "horizon=0", "bound=-1", "sched=replay:@0", "bogus",
+                 "colour=red", "# comment"]
+
+
+@pytest.fixture(scope="module")
+def cli_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cli")
+    (path / "bad.sched").write_text("0 1\nz\n")
+    return path
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    command=st.sampled_from(["run", "sweep", "mc", "worstcase"]),
+    protocol=st.sampled_from(_FLAG_TOKENS["--protocol"][:4]),
+    n=st.sampled_from(["3", "4", "5"]),
+    flags=st.lists(
+        st.one_of([st.tuples(st.just(flag), st.sampled_from(values))
+                   for flag, values in _FLAG_TOKENS.items()]),
+        max_size=4,
+    ),
+    config=st.none() | st.lists(st.sampled_from(_CONFIG_LINES), max_size=3),
+)
+def test_every_argument_list_exits_0_1_or_2(cli_dir, command, protocol, n, flags, config):
+    # a valid protocol and cycle come first, so that later tokens can break or override them
+    argv = [command, "--protocol", protocol, "--n", n]
+    for flag, value in flags:
+        argv += [flag, value.format(dir=cli_dir)]
+    if config is not None:
+        path = cli_dir / "exp.cfg"
+        path.write_text("\n".join(config) + "\n")
+        argv += ["--config", str(path)]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    event(f"exit {code}")
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

@@ -9,10 +9,11 @@ from wfcolor.engine import (
     parse_header,
     read_trace,
     run,
+    step,
     write_trace,
 )
 from wfcolor.model import cycle, explicit_ids, monotone_chain_ids, random_connected_graph, random_unique_ids
-from wfcolor.protocols import Continue, ProtocolState, Return
+from wfcolor.protocols import Continue, ProtocolState, Return, slow6_activate
 from wfcolor.schedulers import CrashSched, ReplaySched, Scheduler, Synchronous, make_scheduler
 
 
@@ -55,8 +56,20 @@ def test_empty_step_is_noop():
 
 def test_unknown_node_rejected():
     ex = triangle_execution()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown node index 3"):
         ex.apply_step({3})
+
+
+def test_step_writes_then_reads_in_place():
+    # the one write-then-read step, on the bare lists the model checker passes
+    ex = triangle_execution()
+    registers, states = list(ex.registers), list(ex.states)
+    fresh = list(states)
+    views, decisions = step(registers, states, [0, 1], cycle(3).adjacency, slow6_activate)
+    assert registers == [fresh[0], fresh[1], None]
+    assert views == [(fresh[1], None), (fresh[0], None)]
+    assert all(isinstance(d, Continue) for d in decisions)
+    assert states == [decisions[0].state, decisions[1].state, fresh[2]]
 
 
 def test_simultaneous_neighbors_read_fresh_writes():

@@ -190,6 +190,12 @@ def test_exhaustive_rejects_large_instances():
         exhaustive_check(g, random_unique_ids(g, seed=0), "slow6", 10)
 
 
+def test_exhaustive_rejects_negative_bound():
+    g = cycle(3)
+    with pytest.raises(ValueError, match="at least 0"):
+        exhaustive_check(g, explicit_ids(g, [1, 2, 5]), "slow6", -1)
+
+
 def test_exhaustive_ceiling_raises():
     g = cycle(3)
     with pytest.raises(StateSpaceExceeded):
