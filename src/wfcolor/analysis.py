@@ -6,6 +6,9 @@ up to t, and stays frozen once the owner returns or crashes. The two
 heard-of sets per process (identifiers reachable along increasing paths, and
 along decreasing ones) are recomputed here from that bookkeeping rather than
 tracked inside the protocols, which keeps the transition functions minimal.
+One replay yields a row per working activation, and the slow6 lemma audits
+check only those rows: between two of its moves, a node's published
+identifier and heard-of sets do not change.
 
 The audit of the published-identifier coloring is also available as a
 streaming observer so that large runs can be checked without retaining their
@@ -100,50 +103,31 @@ def round_complexity(trace: Trace) -> int:
 
 # --- published-value bookkeeping -------------------------------------------
 
-class _HatScan(NamedTuple):
-    """State of the replayed bookkeeping after one step."""
-
-    t: int
-    record: StepRecord
-    xhat: list[int | None]
-    a_sets: list[frozenset[int]]
-    b_sets: list[frozenset[int]]
-    prev_a: list[frozenset[int]]
-    prev_b: list[frozenset[int]]
-    n_up: list[int]
-    n_down: list[int]
+_Sets = tuple[frozenset[int], frozenset[int]]  # the heard-of sets A and B
 
 
-def _scan(trace: Trace) -> Iterator[_HatScan]:
-    """Replay a trace, maintaining published identifiers and heard-of sets.
+def _moves(trace: Trace) -> Iterator[tuple[StepRecord, int, int, _Sets, _Sets, int, int]]:
+    """Replay a trace's heard-of sets, one row per working activation.
 
-    Yields the bookkeeping after every step. The heard-of set of an activated
-    working process is rebuilt from the published sets of its neighbors with
-    larger (resp. smaller) published identifiers; everyone else's sets are
-    frozen.
+    The movers of a step publish their ids and sets; then each rebuilds its
+    sets from the published ones of its larger (resp. smaller) neighbors. A
+    row is (record, p, the id x p published, p's sets before and after the
+    step, how many neighbors had published ids above x and below x).
     """
     n = trace.header.graph.node_count
     adjacency = trace.header.graph.adjacency
     empty: frozenset[int] = frozenset()
     xhat: list[int | None] = [None] * n
-    a_local = [empty] * n
-    b_local = [empty] * n
-    a_hat = [empty] * n
-    b_hat = [empty] * n
+    local = [(empty, empty)] * n  # the sets each node rebuilt at its latest move
+    published = [(empty, empty)] * n  # the sets it wrote at that move
     for record in trace.steps:
         moved = record.decisions.keys()
         for p in moved:
             xhat[p] = record.writes[p].x
-            a_hat[p] = a_local[p]
-            b_hat[p] = b_local[p]
-        prev_a = list(a_local)
-        prev_b = list(b_local)
-        n_up = [0] * n
-        n_down = [0] * n
+            published[p] = local[p]
         for p in moved:
             xp = xhat[p]
-            above: frozenset[int] = empty
-            below: frozenset[int] = empty
+            above = below = empty
             up = down = 0
             for q in adjacency[p]:
                 xq = xhat[q]
@@ -151,15 +135,12 @@ def _scan(trace: Trace) -> Iterator[_HatScan]:
                     continue
                 if xq > xp:
                     up += 1
-                    above = above | a_hat[q] | {xq}
+                    above = above | published[q][0] | {xq}
                 elif xq < xp:
                     down += 1
-                    below = below | b_hat[q] | {xq}
-            a_local[p] = above
-            b_local[p] = below
-            n_up[p] = up
-            n_down[p] = down
-        yield _HatScan(record.t, record, xhat, a_local, b_local, prev_a, prev_b, n_up, n_down)
+                    below = below | published[q][1] | {xq}
+            local[p] = (above, below)
+            yield record, p, xp, published[p], local[p], up, down
 
 
 def ab_sets(trace: Trace, node: int, t: int) -> ABSets:
@@ -169,10 +150,11 @@ def ab_sets(trace: Trace, node: int, t: int) -> ABSets:
     if not 0 <= node < trace.header.graph.node_count:
         raise ValueError(f"unknown node {node}")
     result = ABSets(frozenset(), frozenset())
-    for scan in _scan(trace):
-        if scan.t > t:
+    for record, p, _, _, after, _, _ in _moves(trace):
+        if record.t > t:
             break
-        result = ABSets(scan.a_sets[node], scan.b_sets[node])
+        if p == node:
+            result = ABSets(*after)
     return result
 
 
@@ -187,25 +169,19 @@ def parity_audit(trace: Trace) -> AuditReport:
     their heard-of set on that side."""
     _require_protocol(trace, SLOW6, "parity")
     report = AuditReport("parity")
-    for scan in _scan(trace):
-        for p, decision in scan.record.decisions.items():
-            if not isinstance(decision, Continue):
-                continue
-            state = decision.state
-            if scan.n_up[p] <= 1:
-                report.checked += 1
-                if state.a % 2 != len(scan.a_sets[p]) % 2:
-                    report.flag(
-                        scan.t, p,
-                        f"a={state.a} but |A|={len(scan.a_sets[p])}",
-                    )
-            if scan.n_down[p] <= 1:
-                report.checked += 1
-                if state.b % 2 != len(scan.b_sets[p]) % 2:
-                    report.flag(
-                        scan.t, p,
-                        f"b={state.b} but |B|={len(scan.b_sets[p])}",
-                    )
+    for record, p, _, _, (A, B), n_up, n_down in _moves(trace):
+        decision = record.decisions[p]
+        if not isinstance(decision, Continue):
+            continue
+        state = decision.state
+        if n_up <= 1:
+            report.checked += 1
+            if state.a % 2 != len(A) % 2:
+                report.flag(record.t, p, f"a={state.a} but |A|={len(A)}")
+        if n_down <= 1:
+            report.checked += 1
+            if state.b % 2 != len(B) % 2:
+                report.flag(record.t, p, f"b={state.b} but |B|={len(B)}")
     return report
 
 
@@ -216,19 +192,12 @@ def ab_exclusion_audit(trace: Trace) -> AuditReport:
     _require_protocol(trace, SLOW6, "ab_exclusion")
     check_b = trace.header.ids.kind == UNIQUE
     report = AuditReport("ab_exclusion")
-    n = trace.header.graph.node_count
-    for scan in _scan(trace):
-        for p in range(n):
-            xp = scan.xhat[p]
-            if xp is None:
-                if scan.a_sets[p] or scan.b_sets[p]:
-                    report.flag(scan.t, p, "heard-of sets nonempty before first write")
-                continue
-            report.checked += 1
-            if any(x <= xp for x in scan.a_sets[p]):
-                report.flag(scan.t, p, f"A contains a value <= published id {xp}")
-            if check_b and any(x >= xp for x in scan.b_sets[p]):
-                report.flag(scan.t, p, f"B contains a value >= published id {xp}")
+    for record, p, xp, _, (A, B), _, _ in _moves(trace):
+        report.checked += 1
+        if A and min(A) <= xp:
+            report.flag(record.t, p, f"A contains a value <= published id {xp}")
+        if check_b and B and max(B) >= xp:
+            report.flag(record.t, p, f"B contains a value >= published id {xp}")
     return report
 
 
@@ -236,14 +205,12 @@ def ab_growth_audit(trace: Trace) -> AuditReport:
     """Heard-of sets only ever grow, inclusion-wise."""
     _require_protocol(trace, SLOW6, "ab_growth")
     report = AuditReport("ab_growth")
-    n = trace.header.graph.node_count
-    for scan in _scan(trace):
-        for p in range(n):
-            report.checked += 1
-            if not scan.prev_a[p] <= scan.a_sets[p]:
-                report.flag(scan.t, p, "A lost elements")
-            if not scan.prev_b[p] <= scan.b_sets[p]:
-                report.flag(scan.t, p, "B lost elements")
+    for record, p, _, (A0, B0), (A, B), _, _ in _moves(trace):
+        report.checked += 1
+        if not A0 <= A:
+            report.flag(record.t, p, "A lost elements")
+        if not B0 <= B:
+            report.flag(record.t, p, "B lost elements")
     return report
 
 

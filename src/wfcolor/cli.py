@@ -359,14 +359,32 @@ def cmd_lemmas() -> int:
     return VIOLATION if failures else OK
 
 
+# the flags that only some commands read, and which commands read which
+_FLAGS = {
+    "sched": dict(help="scheduler descriptor (default: sync)"),
+    "horizon": dict(type=int),
+    "trials": dict(type=int),
+    "trace": dict(help="output path (trace file, or schedule for mc and worstcase)"),
+    "bound": dict(type=int, help="activation bound to check against"),
+    "budget": dict(type=int, help="search budget for worstcase"),
+    "from-trace": dict(help="re-run the header of a stored trace"),
+}
+_COMMANDS = {
+    "run": ("execute one trace and audit it", ("sched", "horizon", "trace", "from-trace")),
+    "sweep": ("run seeded trials and report statistics", ("sched", "horizon", "trials", "bound")),
+    "mc": ("exhaustively model-check a tiny instance", ("bound", "trace")),
+    "worstcase": ("search for adversarial schedules", ("bound", "budget", "trace")),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wfcolor",
         description="simulate and audit wait-free coloring protocols on cycles",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_shared(p: argparse.ArgumentParser) -> None:
+    for command, (help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="key=value config file; flags override it")
         p.add_argument("--protocol", choices=PROTOCOLS)
         p.add_argument("--n", type=int, help="cycle size")
@@ -376,19 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
             help="random | chain | proper:<k> | file:<path> | inline list like 1,2,5",
         )
         p.add_argument("--seed", type=int, help="base seed (default: WFC_SEED or 0)")
-        p.add_argument("--sched", help="scheduler descriptor (default: sync)")
-        p.add_argument("--horizon", type=int)
-        p.add_argument("--trials", type=int)
-        p.add_argument("--trace", help="output path (trace file, or schedule for mc and worstcase)")
-        p.add_argument("--bound", type=int, help="activation bound to check against")
-        p.add_argument("--budget", type=int, help="search budget for worstcase")
-
-    run_parser = sub.add_parser("run", help="execute one trace and audit it")
-    add_shared(run_parser)
-    run_parser.add_argument("--from-trace", help="re-run the header of a stored trace")
-    add_shared(sub.add_parser("sweep", help="run seeded trials and report statistics"))
-    add_shared(sub.add_parser("mc", help="exhaustively model-check a tiny instance"))
-    add_shared(sub.add_parser("worstcase", help="search for adversarial schedules"))
+        for flag in flags:
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
     sub.add_parser("lemmas", help="run the exhaustive reduction-function checks")
     return parser
 
@@ -403,11 +410,11 @@ def main(argv: list[str] | None = None) -> int:
         return cmd_lemmas()
     try:
         cfg = load_config(args.config) if args.config else ExperimentConfig()
-        cfg.override(**{f.name: getattr(args, f.name) for f in fields(ExperimentConfig)})
+        cfg.override(**{f.name: getattr(args, f.name, None) for f in fields(ExperimentConfig)})
         if cfg.seed is None:
             cfg.seed = _default_seed()
         if args.command == "run":
-            return cmd_run(cfg, getattr(args, "from_trace", None))
+            return cmd_run(cfg, args.from_trace)
         if args.command == "sweep":
             return cmd_sweep(cfg)
         if args.command == "mc":

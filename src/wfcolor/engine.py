@@ -98,10 +98,6 @@ class Execution:
         self._activate = ACTIVATE[protocol]
         self._t = 0
 
-    @property
-    def now(self) -> int:
-        return self._t
-
     def all_returned(self) -> bool:
         return not self.working
 

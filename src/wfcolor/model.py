@@ -101,9 +101,10 @@ def parse_edge_list(lines: Iterable[str]) -> Graph:
         if not line:
             continue
         parts = line.split()
-        if len(parts) != 2:
-            raise TopologyError(f"line {lineno}: expected 'u v', got {raw!r}")
-        u, v = int(parts[0]), int(parts[1])
+        try:
+            u, v = (int(part) for part in parts)
+        except ValueError:
+            raise TopologyError(f"line {lineno}: expected 'u v', got {raw.strip()!r}") from None
         edges.append((u, v))
         top = max(top, u, v)
     if not edges:
@@ -113,7 +114,10 @@ def parse_edge_list(lines: Iterable[str]) -> Graph:
 
 def load_edge_list(path: str) -> Graph:
     with open(path, encoding="utf-8") as fh:
-        return parse_edge_list(fh)
+        try:
+            return parse_edge_list(fh)
+        except TopologyError as exc:
+            raise TopologyError(f"edge-list file {path}: {exc}") from None
 
 
 def random_connected_graph(n: int, max_degree: int, seed: int) -> Graph:
@@ -276,9 +280,10 @@ def parse_id_list(lines: Iterable[str], g: Graph) -> IdAssignment:
         if not line:
             continue
         parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"line {lineno}: expected 'node id', got {raw!r}")
-        node, value = int(parts[0]), int(parts[1])
+        try:
+            node, value = (int(part) for part in parts)
+        except ValueError:
+            raise ValueError(f"line {lineno}: expected 'node id', got {raw.strip()!r}") from None
         if node in values:
             raise ValueError(f"line {lineno}: node {node} assigned twice")
         values[node] = value
@@ -289,4 +294,7 @@ def parse_id_list(lines: Iterable[str], g: Graph) -> IdAssignment:
 
 def load_ids(path: str, g: Graph) -> IdAssignment:
     with open(path, encoding="utf-8") as fh:
-        return parse_id_list(fh, g)
+        try:
+            return parse_id_list(fh, g)
+        except ValueError as exc:
+            raise ValueError(f"id file {path}: {exc}") from None

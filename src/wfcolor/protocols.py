@@ -29,7 +29,6 @@ DELTASQ = "deltasq"
 
 PROTOCOLS = (SLOW6, SLOW5, FAST5, DELTASQ)
 CYCLE_ONLY = (SLOW6, SLOW5, FAST5)
-PAIR_COLORED = (SLOW6, DELTASQ)
 
 
 class ProtocolMismatch(ValueError):

@@ -148,6 +148,32 @@ def test_ab_exclusion_and_growth_pass_on_random_traces():
         assert parity_audit(trace).passed
 
 
+def _republish(trace, t, node, x):
+    """Rewrite the identifier a node published at step t."""
+    record = trace.steps[t - 1]
+    writes = dict(record.writes)
+    writes[node] = writes[node]._replace(x=x)
+    trace.steps[t - 1] = record._replace(writes=writes)
+
+
+def test_ab_exclusion_flags_a_larger_neighbor_that_republishes_lower():
+    # node 1 (id 1) re-publishes as 6 at step 2, carrying A = {5, 9} from step 1:
+    # node 0 (id 5) now hears of 5 upward
+    trace = triangle_trace()
+    _republish(trace, 2, 1, 6)
+    report = ab_exclusion_audit(trace)
+    assert [(t, node) for t, node, _ in report.violations] == [(2, 0)]
+
+
+def test_ab_growth_flags_sets_that_shrink():
+    # node 2 (id 9) re-publishes as 3 at step 2: node 0 (id 5) loses 9 from A,
+    # and node 2 itself loses 5 from B
+    trace = triangle_trace()
+    _republish(trace, 2, 2, 3)
+    report = ab_growth_audit(trace)
+    assert report.violations == [(2, 0, "A lost elements"), (2, 2, "B lost elements")]
+
+
 def test_ab_exclusion_b_side_skipped_for_proper_inputs():
     from wfcolor.model import proper_coloring_ids
 

@@ -199,6 +199,40 @@ def test_run_ids_file_mode(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("run", "--trials", "2"), ("run", "--bound", "8"), ("run", "--budget", "5"),
+    ("sweep", "--trace", "out.txt"), ("sweep", "--budget", "5"),
+    ("mc", "--sched", "rr"), ("mc", "--horizon", "50"), ("mc", "--trials", "2"),
+    ("mc", "--budget", "5"),
+    ("worstcase", "--sched", "rr"), ("worstcase", "--horizon", "50"),
+    ("worstcase", "--trials", "2"),
+])
+def test_flag_a_command_does_not_read_is_usage_error(command, flag, value, capsys):
+    argv = [command, "--protocol", "slow6", "--n", "3", "--ids", "1,2,5", "--bound", "8"]
+    if command == "run":
+        argv = argv[:-2]
+    assert run_cli(*argv, flag, value) == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+
+def test_edge_list_item_that_is_not_a_node_is_named(tmp_path, capsys):
+    edges = tmp_path / "bad.edges"
+    edges.write_text("0 1\n1 x\n")
+    assert run_cli("run", "--protocol", "deltasq", "--graph", str(edges)) == 2
+    assert f"edge-list file {edges}: line 2: expected 'u v', got '1 x'" in (
+        capsys.readouterr().err
+    )
+
+
+def test_id_file_item_that_is_not_an_integer_is_named(tmp_path, capsys):
+    ids_path = tmp_path / "bad.ids"
+    ids_path.write_text("0 5\n1 y\n2 9\n")
+    assert run_cli("run", "--protocol", "slow6", "--n", "3", "--ids", f"file:{ids_path}") == 2
+    assert f"id file {ids_path}: line 2: expected 'node id', got '1 y'" in (
+        capsys.readouterr().err
+    )
+
+
 def test_run_graph_file_deltasq(tmp_path, capsys):
     edges = tmp_path / "g.edges"
     edges.write_text("# small general graph\n0 1\n1 2\n2 0\n0 3\n3 4\n")
