@@ -104,8 +104,6 @@ def _experiment(cfg: ExperimentConfig) -> model.Graph:
     """Checks the settings every command shares and returns the graph."""
     if cfg.protocol not in PROTOCOLS:
         raise ConfigError(f"--protocol must be one of {'|'.join(PROTOCOLS)}")
-    if cfg.bound is not None and cfg.bound < 0:
-        raise ConfigError(f"--bound must be at least 0, got {cfg.bound}")
     if cfg.graph is not None:
         return model.load_edge_list(cfg.graph)
     if cfg.n is not None:
@@ -132,6 +130,15 @@ def _resolve_ids(cfg: ExperimentConfig, graph: model.Graph, seed: int) -> model.
     if _INLINE_IDS.match(mode):
         return model.explicit_ids(graph, [int(v) for v in mode.split(",")])
     raise ConfigError(f"unknown id mode {mode!r}")
+
+
+def _bound(cfg: ExperimentConfig, protocol: str, n: int) -> int | None:
+    """--bound when given, else the protocol's declared bound on the n-cycle."""
+    if cfg.bound is None:
+        return analysis.declared_bound(protocol, n)
+    if cfg.bound < 0:
+        raise ConfigError(f"--bound must be at least 0, got {cfg.bound}")
+    return cfg.bound
 
 
 def _horizon(cfg: ExperimentConfig, protocol: str, n: int) -> int:
@@ -249,7 +256,7 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
     protocol = cfg.protocol
     horizon = _horizon(cfg, protocol, n)
     base_descriptor = schedulers.parse_descriptor(cfg.sched or "sync")
-    bound = cfg.bound if cfg.bound is not None else analysis.declared_bound(protocol, n)
+    bound = _bound(cfg, protocol, n)
 
     def trial_inputs(trial: int) -> tuple[int, engine.Execution, schedulers.Scheduler]:
         seed = _derive(cfg.seed, trial)
@@ -290,9 +297,10 @@ def cmd_mc(cfg: ExperimentConfig) -> int:
     graph = _experiment(cfg)
     if cfg.bound is None:
         raise ConfigError("mc needs --bound")
+    bound = _bound(cfg, cfg.protocol, graph.node_count)
     ids = _resolve_ids(cfg, graph, cfg.seed)
     try:
-        report = schedulers.exhaustive_check(graph, ids, cfg.protocol, cfg.bound)
+        report = schedulers.exhaustive_check(graph, ids, cfg.protocol, bound)
     except schedulers.StateSpaceExceeded as exc:
         print(f"state space exceeded: {exc}")
         return VIOLATION
@@ -304,7 +312,7 @@ def cmd_mc(cfg: ExperimentConfig) -> int:
         print(f"safety violation: {counterexample.detail}")
         print(f"  schedule: {list(counterexample.schedule)}")
     for node, count in report.bound_violations:
-        print(f"bound violation: node {node} reached {count} > {cfg.bound}")
+        print(f"bound violation: node {node} reached {count} > {bound}")
         if report.bound_schedule is not None:
             print(f"  schedule: {list(report.bound_schedule)}")
     if report.verdict == "pass":
@@ -320,13 +328,12 @@ def cmd_mc(cfg: ExperimentConfig) -> int:
 
 def cmd_worstcase(cfg: ExperimentConfig) -> int:
     graph = _experiment(cfg)
+    bound = _bound(cfg, cfg.protocol, graph.node_count)
     ids = _resolve_ids(cfg, graph, cfg.seed)
     budget = cfg.budget if cfg.budget is not None else 200
     descriptor, worst = schedulers.worst_case_search(
         graph, ids, cfg.protocol, budget, cfg.seed
     )
-    n = graph.node_count
-    bound = cfg.bound if cfg.bound is not None else analysis.declared_bound(cfg.protocol, n)
     print(f"worst_max_activations: {worst}")
     if cfg.trace:
         schedulers.save_schedule(descriptor.sets, cfg.trace)
@@ -377,7 +384,8 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, and each command's subparser by name."""
     parser = argparse.ArgumentParser(
         prog="wfcolor",
         description="simulate and audit wait-free coloring protocols on cycles",
@@ -397,13 +405,15 @@ def build_parser() -> argparse.ArgumentParser:
         for flag in flags:
             p.add_argument(f"--{flag}", **_FLAGS[flag])
     sub.add_parser("lemmas", help="run the exhaustive reduction-function checks")
-    return parser
+    return parser, sub.choices
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser, subparsers = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
+        if extra:  # reported with the usage of the command that rejects them
+            subparsers[args.command].error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         return USAGE if exc.code else OK
     if args.command == "lemmas":

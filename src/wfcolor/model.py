@@ -47,19 +47,22 @@ class Graph:
             for q in nbrs:
                 if p not in self.adjacency[q]:
                     raise TopologyError(f"edge {p}-{q} is not symmetric")
-        if not self._connected():
+        if len(self.depth_first_order()) != n:
             raise TopologyError("graph must be connected")
 
-    def _connected(self) -> bool:
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            p = frontier.pop()
-            for q in self.adjacency[p]:
-                if q not in seen:
-                    seen.add(q)
-                    frontier.append(q)
-        return len(seen) == self.node_count
+    def depth_first_order(self) -> list[int]:
+        """The nodes reachable from node 0 in depth-first preorder, smallest
+        neighbor first."""
+        seen = [False] * self.node_count
+        order = []
+        stack = [0]
+        while stack:
+            p = stack.pop()
+            if not seen[p]:
+                seen[p] = True
+                order.append(p)
+                stack.extend(reversed(self.adjacency[p]))
+        return order
 
     @property
     def is_cycle(self) -> bool:
@@ -182,12 +185,10 @@ class IdAssignment:
                 raise ValueError(f"adjacent nodes {p},{q} share identifier {self.ids[p]}")
 
 
-def explicit_ids(g: Graph, values: Sequence[int], kind: str | None = None) -> IdAssignment:
-    """Wrap explicit identifier values, inferring the kind when not given."""
+def explicit_ids(g: Graph, values: Sequence[int]) -> IdAssignment:
+    """Wrap explicit values: kind unique when no two are equal, else proper."""
     vals = tuple(values)
-    if kind is None:
-        kind = UNIQUE if len(set(vals)) == len(vals) else PROPER
-    ids = IdAssignment(vals, kind)
+    ids = IdAssignment(vals, UNIQUE if len(set(vals)) == len(vals) else PROPER)
     ids.validate_for(g)
     return ids
 
@@ -222,54 +223,25 @@ def monotone_chain_ids(n: int) -> IdAssignment:
 def proper_coloring_ids(g: Graph, k: int, seed: int = 0) -> IdAssignment:
     """Seeded proper coloring of g with values in [0, k).
 
-    Cycles are handled exactly: k = 2 works only on even rings, k >= 3 always.
-    On general graphs a randomized greedy pass is used and raises when it gets
-    stuck (guaranteed to succeed for k > max_degree).
+    Greedy over g.depth_first_order(): each node draws uniformly from the
+    values its colored neighbors leave free, and ColoringInfeasible names the
+    first node left with none. With k = 2 every draw after the first is
+    forced, so any bipartite graph is colored; k > max_degree always
+    succeeds. A ring-ordered cycle is colored in the order 0, 1, ..., n - 1.
     """
-    n = g.node_count
-    rng = random.Random(f"proper:{seed}")
     if k < 2:
         raise ColoringInfeasible("at least 2 colors are needed")
-    if g.is_cycle and _is_ring_order(g):
-        values = _ring_coloring(n, k, rng)
-    else:
-        values = _greedy_coloring(g, k, rng)
-    ids = IdAssignment(tuple(values), PROPER)
-    ids.validate_for(g)
-    return ids
-
-
-def _is_ring_order(g: Graph) -> bool:
-    n = g.node_count
-    return all(g.adjacency[i] == tuple(sorted(((i - 1) % n, (i + 1) % n))) for i in range(n))
-
-
-def _ring_coloring(n: int, k: int, rng: random.Random) -> list[int]:
-    if k == 2:
-        if n % 2 == 1:
-            raise ColoringInfeasible("an odd cycle is not 2-colorable")
-        phase = rng.randrange(2)
-        return [(i + phase) % 2 for i in range(n)]
-    values = [rng.randrange(k)]
-    for i in range(1, n):
-        banned = {values[i - 1]}
-        if i == n - 1:
-            banned.add(values[0])
-        values.append(rng.choice([c for c in range(k) if c not in banned]))
-    return values
-
-
-def _greedy_coloring(g: Graph, k: int, rng: random.Random) -> list[int]:
-    order = list(range(g.node_count))
-    rng.shuffle(order)
+    rng = random.Random(f"proper:{seed}")
     values: list[int | None] = [None] * g.node_count
-    for p in order:
-        banned = {values[q] for q in g.adjacency[p] if values[q] is not None}
+    for p in g.depth_first_order():
+        banned = {values[q] for q in g.adjacency[p]}
         free = [c for c in range(k) if c not in banned]
         if not free:
             raise ColoringInfeasible(f"greedy coloring stuck at node {p} with {k} colors")
         values[p] = rng.choice(free)
-    return [v for v in values if v is not None]
+    ids = IdAssignment(tuple(values), PROPER)
+    ids.validate_for(g)
+    return ids
 
 
 def parse_id_list(lines: Iterable[str], g: Graph) -> IdAssignment:

@@ -238,21 +238,19 @@ def worst_case_search(
     protocol: str,
     budget: int,
     seed: int,
-    steps: int | None = None,
 ) -> tuple[ReplaySched, int]:
     """Hill-climb over replay schedules for a high working-activation count.
 
     Mutates the incumbent schedule (resampling whole steps or toggling single
     activations), keeps mutants that do not lose ground, and restarts from a
-    fresh random schedule after a stall. Deterministic for a given seed;
-    budget counts schedule evaluations.
+    fresh random schedule after a stall. Schedules have 6n + 24 steps.
+    Deterministic for a given seed; budget counts schedule evaluations.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
     n = graph.node_count
     rng = random.Random(f"worstcase:{seed}")
-    if steps is None:
-        steps = 6 * n + 24
+    steps = 6 * n + 24
 
     def random_schedule() -> list[frozenset[int]]:
         return [
@@ -331,8 +329,9 @@ def exhaustive_check(
     (the empty set cannot affect any assertion), memoizes configurations
     (registers, states, outputs, activation counts), and checks at
     every new configuration that returned neighbors hold distinct in-palette
-    colors and that no process worked past the activation bound. Exploration
-    stops at the first violation found.
+    colors and that no process worked past the activation bound. Each DFS
+    stack entry holds a configuration, its untried subsets and the schedule
+    to it; at the first violation the witness is that schedule plus one step.
 
     With activation_bound=None only safety is checked: activation counts are
     dropped from the configuration, so the reachable space is explored
@@ -358,15 +357,12 @@ def exhaustive_check(
     )
     report = McReport(explored=1)
     seen = {initial}
-    stack = [(initial, _subsets_of_working(initial[2], n))]
-    path: list[tuple[int, ...]] = []
+    stack = [(initial, _subsets_of_working(initial[2], n), ())]
 
     while stack:
-        config, pending = stack[-1]
+        config, pending, schedule = stack[-1]
         if not pending:
             stack.pop()
-            if path:
-                path.pop()
             continue
         movers = pending.pop()
         registers, states, outputs, counts = config
@@ -375,30 +371,27 @@ def exhaustive_check(
         _, decisions = step(new_registers, new_states, movers, adjacency, activate)
         new_outputs = list(outputs)
         new_counts = list(counts)
-        fresh_returns = []
-        taken = tuple(path) + (movers,)
         for p, decision in zip(movers, decisions):
             if counted:
                 new_counts[p] += 1
                 if new_counts[p] > activation_bound:
                     report.bound_violations.append((p, new_counts[p]))
-                    report.bound_schedule = taken
+                    report.bound_schedule = schedule + (movers,)
                     return report
             if type(decision) is Return:
                 new_outputs[p] = decision.color
-                fresh_returns.append(p)
-        for p in fresh_returns:
+        for p in movers:  # after the loop above: every simultaneous returner is set
             color = new_outputs[p]
+            if color is None:
+                continue
             if not palette_ok(protocol, color, delta):
-                report.safety_violations.append(
-                    Counterexample(taken, f"node {p} returned {color!r} outside the palette")
-                )
+                detail = f"node {p} returned {color!r} outside the palette"
+                report.safety_violations.append(Counterexample(schedule + (movers,), detail))
                 return report
             for q in adjacency[p]:
-                if new_outputs[q] is not None and new_outputs[q] == color:
-                    report.safety_violations.append(
-                        Counterexample(taken, f"adjacent nodes {q},{p} both returned {color!r}")
-                    )
+                if new_outputs[q] == color:
+                    detail = f"adjacent nodes {q},{p} both returned {color!r}"
+                    report.safety_violations.append(Counterexample(schedule + (movers,), detail))
                     return report
         new_config = (
             tuple(new_registers),
@@ -416,8 +409,7 @@ def exhaustive_check(
         if report.explored > config_ceiling:
             raise StateSpaceExceeded(f"explored more than {config_ceiling} configurations")
         if any(out is None for out in new_outputs):
-            path.append(tuple(movers))
-            stack.append((new_config, _subsets_of_working(new_outputs, n)))
+            stack.append((new_config, _subsets_of_working(new_outputs, n), schedule + (movers,)))
     return report
 
 

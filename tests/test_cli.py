@@ -286,6 +286,35 @@ def test_mc_negative_bound_is_usage_error(capsys):
     assert captured.out == ""
 
 
+def test_bound_in_a_config_file_is_checked_only_where_read(tmp_path, capsys):
+    path = tmp_path / "exp.cfg"
+    path.write_text("protocol=slow6\nn=4\nids=chain\nbound=-1\n")
+    assert run_cli("run", "--config", str(path)) == 0
+    capsys.readouterr()
+    assert run_cli("worstcase", "--config", str(path), "--budget", "1") == 2
+    captured = capsys.readouterr()
+    assert "--bound must be at least 0, got -1" in captured.err
+    assert captured.out == ""
+
+
+def test_unknown_flag_names_the_usage_of_its_command(capsys):
+    code = run_cli("mc", "--protocol", "slow6", "--n", "3", "--ids", "1,2,5", "--bound", "8",
+                   "--sched", "rr")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "usage: wfcolor mc" in err
+    assert "unrecognized arguments: --sched rr" in err
+
+
+def test_run_two_colors_a_relabeled_even_cycle(tmp_path, capsys):
+    edges = tmp_path / "c8.edges"
+    edges.write_text("0 3\n3 1\n1 5\n5 2\n2 7\n7 4\n4 6\n6 0\n")
+    code = run_cli("run", "--protocol", "slow6", "--graph", str(edges), "--ids", "proper:2",
+                   "--seed", "0")
+    assert code == 0
+    assert "audit proper_coloring: pass" in capsys.readouterr().out
+
+
 def test_sweep_validates_before_any_output(capsys):
     code = run_cli("sweep", "--protocol", "slow6", "--n", "4", "--trials", "2",
                    "--sched", "replay:@0,1|9")

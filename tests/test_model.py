@@ -132,6 +132,30 @@ def test_proper_coloring_general_graph():
     ids.validate_for(g)
 
 
+# an 8-cycle whose ring order is not 0, 1, ..., 7, and the complete bipartite K3,3
+RELABELED_C8 = [(0, 3), (3, 1), (1, 5), (5, 2), (2, 7), (7, 4), (4, 6), (6, 0)]
+K33 = [(a, b) for a in (0, 1, 2) for b in (3, 4, 5)]
+
+
+@pytest.mark.parametrize("n, edges", [(8, RELABELED_C8), (6, K33)])
+def test_proper_two_coloring_of_bipartite_graphs(n, edges):
+    g = from_edges(n, edges)
+    for seed in range(50):
+        ids = proper_coloring_ids(g, 2, seed=seed)
+        assert all(ids.ids[p] != ids.ids[q] for p, q in g.edges()), seed
+
+
+def test_proper_two_coloring_relabeled_odd_cycle_infeasible():
+    g = from_edges(5, [(0, 2), (2, 4), (4, 1), (1, 3), (3, 0)])
+    with pytest.raises(ColoringInfeasible, match="stuck at node"):
+        proper_coloring_ids(g, 2, seed=0)
+
+
+def test_depth_first_order_takes_the_smallest_neighbor_first():
+    assert cycle(6).depth_first_order() == [0, 1, 2, 3, 4, 5]
+    assert from_edges(8, RELABELED_C8).depth_first_order() == [0, 3, 1, 5, 2, 7, 4, 6]
+
+
 def test_explicit_ids_kind_inference():
     g = cycle(4)
     assert explicit_ids(g, [4, 7, 1, 9]).kind == model.UNIQUE

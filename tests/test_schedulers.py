@@ -1,5 +1,6 @@
 import pytest
 
+from wfcolor import protocols
 from wfcolor.engine import new_execution, run
 from wfcolor.model import cycle, explicit_ids, random_unique_ids
 from wfcolor.schedulers import (
@@ -200,3 +201,34 @@ def test_exhaustive_ceiling_raises():
     g = cycle(3)
     with pytest.raises(StateSpaceExceeded):
         exhaustive_check(g, explicit_ids(g, [1, 2, 5]), "slow6", 8, config_ceiling=10)
+
+
+def _continue_once_then_return_0_0(state, views):
+    # a fake transition: the first activation moves a to 1, every later one returns (0, 0)
+    if state.a == 0:
+        return protocols.Continue(state._replace(a=1))
+    return protocols.Return((0, 0))
+
+
+@pytest.mark.parametrize("bound", [None, 8])
+def test_exhaustive_reports_adjacent_equal_returns_with_their_schedule(monkeypatch, bound):
+    monkeypatch.setitem(protocols.ACTIVATE, "slow6", _continue_once_then_return_0_0)
+    g = cycle(3)
+    report = exhaustive_check(g, explicit_ids(g, [1, 2, 5]), "slow6", bound)
+    assert report.verdict == "fail"
+    assert report.explored == 2
+    assert not report.bound_violations
+    [counterexample] = report.safety_violations
+    assert counterexample.schedule == ((0, 1, 2), (0, 1, 2))
+    assert counterexample.detail == "adjacent nodes 1,0 both returned (0, 0)"
+
+
+def test_exhaustive_reports_a_return_outside_the_palette(monkeypatch):
+    monkeypatch.setitem(protocols.ACTIVATE, "slow6", lambda state, views: protocols.Return((3, 0)))
+    g = cycle(3)
+    report = exhaustive_check(g, explicit_ids(g, [1, 2, 5]), "slow6", None)
+    assert report.verdict == "fail"
+    assert report.explored == 1
+    [counterexample] = report.safety_violations
+    assert counterexample.schedule == ((0, 1, 2),)
+    assert counterexample.detail == "node 0 returned (3, 0) outside the palette"
