@@ -233,7 +233,10 @@ def stop_rule_audit(trace: Trace) -> AuditReport:
 class XhatColoringObserver:
     """Streaming check that published identifiers stay properly colored.
 
-    Feed every step record in order; violations accumulate in the report.
+    Feed every step record of one run in order; violations accumulate in the
+    report. A record whose writes and reads carry their ids as arrays (the
+    numpy kernel's) is checked with one comparison: the ids a step's movers
+    read, -1 for an unwritten register, against the ids they wrote.
     """
 
     def __init__(self, graph: Graph):
@@ -245,6 +248,17 @@ class XhatColoringObserver:
         xhat = self._xhat
         adjacency = self._adjacency
         writes = record.writes
+        written = getattr(writes, "ids", None)
+        if written is not None:
+            seen = record.reads.ids
+            self.report.checked += int(seen.size)
+            collide = seen == written[:, None]
+            if collide.any():
+                for i, j in zip(*collide.nonzero()):
+                    p, xp = int(writes.nodes[i]), int(written[i])
+                    q = adjacency[p][j]
+                    self.report.flag(record.t, p, f"published ids of neighbors {p},{q} both {xp}")
+            return
         for p, state in writes.items():
             xhat[p] = state.x
         checked = 0

@@ -410,9 +410,15 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
 def main(argv: list[str] | None = None) -> int:
     parser, subparsers = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
         args, extra = parser.parse_known_args(argv)
-        if extra:  # reported with the usage of the command that rejects them
+        # the top-level parser knows no flag but --help, so all that comes
+        # before the command is its to reject; the rest is the command's
+        head = argv[:argv.index(args.command)]
+        if head:
+            parser.error(f"unrecognized arguments: {' '.join(head)}")
+        if extra:
             subparsers[args.command].error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         return USAGE if exc.code else OK

@@ -1,0 +1,314 @@
+"""The cycle protocols on whole arrays: a numpy restatement of `engine.step`.
+
+`run` steps slow6, slow5 and fast5 on a 2-regular graph. The states and the
+registers are (4, n) int64 tables whose rows are x, a, b and r; an unwritten
+register holds x = -1, which no identifier equals, and fast5's INFINITE
+counter is the sentinel `_INF`. A step writes the movers' columns into the
+register table, gathers each mover's two neighbor registers through a
+(2, n) adjacency array and applies the protocol's transition to all movers
+at once. `cv_reduce` gets bit lengths from `np.frexp`, which is exact below
+2**53, and the least color missing from a bitmask is a table lookup.
+
+`engine.step` stays the one definition of the step; tests/test_kernel.py
+checks this restatement against it. `engine.run` sends a run here only when
+no step records are kept, the graph is large and every identifier lies
+below 2**53 (see `engine.KERNEL_MIN_NODES`).
+"""
+
+from __future__ import annotations
+
+import gc
+from collections.abc import Mapping, Sequence
+from functools import partial
+from itertools import chain, repeat
+
+import numpy as np
+
+from .engine import Execution, StepRecord
+from .protocols import FAST5, INFINITE, SLOW5, SLOW6, Continue, ProtocolState, Return, mex
+from .schedulers import RandomSched, Scheduler, random_stream
+
+X, A, B, R = range(4)  # the rows of a state or register table
+_INF = 1 << 62  # fast5's INFINITE counter; r + 1 stays clear of overflow
+_MEX = np.array([mex(c for c in range(6) if m >> c & 1) for m in range(64)], dtype=np.int64)
+
+
+def _bit_length(z: np.ndarray) -> np.ndarray:
+    """int.bit_length of each natural below 2**53, where float64 is exact."""
+    return np.frexp(z.astype(np.float64))[1].astype(np.int64)
+
+
+def cv_reduce(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """cointoss.cv_reduce, elementwise over naturals below 2**53."""
+    diff = x ^ y
+    # the position of the lowest differing bit: the ones below it, 64 when x == y
+    low = np.bitwise_count(((diff & -diff) - 1).view(np.uint64))
+    i = np.minimum(_bit_length(np.minimum(x, y)), low)
+    return 2 * i + (x >> i & 1)
+
+
+# A transition takes the movers' states (4, k), the registers they read
+# (4, 2, k: field, neighbor, mover) and which of those are written (2, k).
+# It returns which movers return, their colors as rows (two for a pair, one
+# for a scalar) and the next states of the others.
+
+def _two_sided(pre, view, written):
+    x, a, b, _ = pre
+    vx, va, vb, _ = view
+    hit = written & (va == a) & (vb == b)
+    above = np.where(written & (vx > x), 1 << va, 0)
+    below = np.where(written & (vx < x), 1 << vb, 0)
+    new = pre.copy()
+    new[A] = _MEX.take(above[0] | above[1])
+    new[B] = _MEX.take(below[0] | below[1])
+    return ~(hit[0] | hit[1]), pre[A:B + 1], new
+
+
+def _five_color(pre, view, written):
+    x, a, b, _ = pre
+    bits = np.where(written, 1 << view[A] | 1 << view[B], 0)
+    above = np.where(view[X] > x, bits, 0)
+    seen = bits[0] | bits[1]
+    fresh_a = (seen >> a & 1) == 0
+    fresh_b = (seen >> b & 1) == 0
+    new = pre.copy()
+    new[A] = _MEX.take(above[0] | above[1])
+    new[B] = _MEX.take(seen)
+    return fresh_a | fresh_b, np.where(fresh_a, a, b)[None], new
+
+
+def _fast5(pre, view, written):
+    returns, colors, new = _five_color(pre, view, written)
+    x, r = pre[X], pre[R]
+    (x0, x1), (r0, r1) = view[X], view[R]
+    # the identifier move, for the continuing movers whose counter may move
+    moving = np.flatnonzero(~returns & written[0] & written[1] & (r < _INF) & (r <= r0) & (r <= r1))
+    if not len(moving):
+        return returns, colors, new
+    x, x0, x1, r = (column.take(moving) for column in (x, x0, x1, r))
+    lo, hi = np.minimum(x0, x1), np.maximum(x0, x1)
+    between = (lo < x) & (x < hi)
+    y = cv_reduce(x, lo)
+    # mex of the two reductions against x is at most 2, so 5 stands in for any larger one
+    c0, c1 = (np.minimum(cv_reduce(v, x), 5) for v in (x0, x1))
+    drop = np.minimum(x, _MEX.take(1 << c0 | 1 << c1))
+    new[X, moving] = np.where(between, np.where(y < lo, y, x), np.where(x < lo, drop, x))
+    new[R, moving] = np.where(between, r + 1, _INF)
+    return returns, colors, new
+
+
+_TRANSITIONS = {SLOW6: _two_sided, SLOW5: _five_color, FAST5: _fast5}
+
+
+def _put(table: np.ndarray, nodes: np.ndarray, columns: np.ndarray) -> None:
+    """table[:, nodes] = columns, a row at a time: three times as fast as
+    indexing both axes at once."""
+    for row, values in zip(table, columns):
+        row[nodes] = values
+
+
+# --- conversions between tables and the engine's objects ---------------------
+
+def _table(states: list) -> np.ndarray:
+    """The (4, n) table of a list of states, x = -1 where a state is None."""
+    rows = [(-1, 0, 0, 0) if s is None else
+            (s.x, s.a, s.b, 0 if s.r is None else _INF if s.r == INFINITE else s.r)
+            for s in states]
+    return np.array(rows, dtype=np.int64).reshape(-1, 4).T.copy()
+
+
+_new_state = partial(tuple.__new__, ProtocolState)  # ProtocolState(*fields), at C speed
+
+
+def _states(protocol: str, table: np.ndarray) -> list:
+    """The ProtocolStates of a table's columns; None where x = -1."""
+    x, a, b, r = table.tolist()
+    r = [INFINITE if v == _INF else v for v in r] if protocol == FAST5 else repeat(None)
+    # The collections that 10^5 new tuples set off cost a third of a run on a
+    # 10^5-cycle, and tuples of numbers and strings cannot form a cycle.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        states = list(map(_new_state, zip(repeat(protocol), x, a, b, r)))
+    finally:
+        if enabled:
+            gc.enable()
+    for i in np.flatnonzero(table[X] < 0).tolist():
+        states[i] = None
+    return states
+
+
+def _colors(rows: np.ndarray) -> list:
+    """The colors in the columns of an output table: pairs, or scalars."""
+    return list(zip(*rows.tolist())) if len(rows) == 2 else rows[0].tolist()
+
+
+class _Masks:
+    """Bool masks of node sets. The last set converted is kept, since sync
+    and support_after hand over the same frozenset at every step."""
+
+    def __init__(self, n: int):
+        self._n = n
+        self._nodes = self._mask = None
+
+    def __call__(self, nodes: frozenset[int]) -> np.ndarray:
+        if nodes is not self._nodes:
+            mask = np.zeros(self._n, dtype=bool)
+            mask[np.fromiter(nodes, dtype=np.int64, count=len(nodes))] = True
+            self._nodes, self._mask = nodes, mask
+        return self._mask
+
+
+def _activation_masks(scheduler: Scheduler, n: int):
+    """t -> sigma(t) as a bool mask. A rand: schedule's draws come from one
+    reused RandomState loaded with the state of random_stream(seed, t): both
+    generators build a double from two 32-bit words the same way."""
+    d = scheduler.descriptor
+    if isinstance(d, RandomSched):
+        generator = np.random.RandomState()
+
+        def draw(t: int) -> np.ndarray:
+            key = random_stream(d.seed, t).getstate()[1]
+            generator.set_state(("MT19937", key[:624], key[624]))
+            return generator.random_sample(n) < d.p_act
+
+        return draw
+    masks = _Masks(n)
+    return lambda t: masks(scheduler.at(t))
+
+
+# --- step records as views ---------------------------------------------------
+
+class _Activated(Sequence):
+    """A step's activated nodes, ascending, read from its mask on first use."""
+
+    def __init__(self, mask: np.ndarray):
+        self._mask = mask
+        self._nodes: list[int] | None = None
+
+    def _list(self) -> list[int]:
+        if self._nodes is None:
+            self._nodes = np.flatnonzero(self._mask).tolist()
+        return self._nodes
+
+    def __getitem__(self, i):
+        return self._list()[i]
+
+    def __len__(self) -> int:
+        return len(self._list())
+
+
+class _PerMover(Mapping):
+    """A step's values per mover, ascending, built on first read.
+
+    `nodes` holds the movers and `ids` the x column of the values as arrays
+    (for the reads, a (k, 2) array with -1 for an unwritten register)."""
+
+    def __init__(self, nodes: np.ndarray, ids: np.ndarray | None, build):
+        self.nodes, self.ids = nodes, ids
+        self._build = build
+        self._dict: dict | None = None
+
+    def _values(self) -> dict:
+        if self._dict is None:
+            self._dict = dict(zip(self.nodes.tolist(), self._build()))
+        return self._dict
+
+    def __getitem__(self, p: int):
+        return self._values()[p]
+
+    def __iter__(self):
+        return iter(self._values())
+
+    def __len__(self) -> int:
+        return len(self.nodes)
+
+    def items(self):
+        return self._values().items()
+
+
+def _record(t, protocol, active, movers, pre, view, returns, colors, new) -> StepRecord:
+    def reads():
+        return list(zip(_states(protocol, view[:, 0]), _states(protocol, view[:, 1])))
+
+    def decisions():
+        return [Return(c) if ret else Continue(s) for ret, c, s
+                in zip(returns.tolist(), _colors(colors), _states(protocol, new))]
+
+    return StepRecord(
+        t,
+        _Activated(active),
+        _PerMover(movers, pre[X], lambda: _states(protocol, pre)),
+        _PerMover(movers, view[X].T, reads),
+        _PerMover(movers, None, decisions),
+    )
+
+
+# --- the run -------------------------------------------------------------------
+
+def run(execution: Execution, scheduler: Scheduler, horizon: int, observers=()) -> int | None:
+    """engine.run's loop without kept records: step the execution under the
+    scheduler for at most horizon steps, calling each observer with every
+    step's record, and write the final state back into the execution.
+    Returns tstar, or None when the horizon ran out."""
+    protocol = execution.protocol
+    transition = _TRANSITIONS[protocol]
+    n = execution.graph.node_count
+    adjacency = np.fromiter(chain.from_iterable(execution.graph.adjacency), np.int64, 2 * n)
+    adjacency = adjacency.reshape(n, 2).T.copy()
+    if execution.registers.count(None) == n:  # nothing written: every state is initial
+        states = np.zeros((4, n), dtype=np.int64)
+        states[X] = execution.ids.ids
+        registers = np.zeros_like(states)
+        registers[X] = -1
+    else:
+        states = _table(execution.states)
+        registers = _table(execution.registers)
+    working = np.zeros(n, dtype=bool)
+    working[list(execution.working)] = True
+    activations = np.array(execution.activations, dtype=np.int64)
+    outputs = np.zeros((2 if protocol == SLOW6 else 1, n), dtype=np.int64)
+    returned_at = np.zeros(n, dtype=np.int64)  # step of return, to list returns in order
+    activation_mask = _activation_masks(scheduler, n)
+    support_mask = _Masks(n)
+    t0 = execution._t
+    tstar, terminated = 0, False
+    for t in range(1, horizon + 1):
+        active = activation_mask(t)
+        movers = np.flatnonzero(active & working)
+        pre = states.take(movers, axis=1)
+        _put(registers, movers, pre)
+        view = registers.take(adjacency.take(movers, axis=1), axis=1)
+        returns, colors, new = transition(pre, view, view[X] >= 0)
+        stay = ~returns
+        _put(states, movers.compress(stay), new.compress(stay, axis=1))
+        gone = movers.compress(returns)
+        working[gone] = False
+        _put(outputs, gone, colors.compress(returns, axis=1))
+        returned_at[gone] = t
+        activations[movers] += 1
+        if len(movers):
+            tstar = t
+        if observers:
+            record = _record(t0 + t, protocol, active, movers, pre, view, returns, colors, new)
+            for observer in observers:
+                observer(record)
+        if not (working & support_mask(scheduler.support_after(t + 1))).any():
+            terminated = True
+            break
+
+    execution._t = t0 + t
+    execution.last_movers = len(movers)
+    execution.activations[:] = activations.tolist()
+    gone = np.flatnonzero(returned_at)
+    gone = gone[np.argsort(returned_at[gone], kind="stable")]
+    execution.returned.update(zip(gone.tolist(), _colors(outputs[:, gone])))
+    execution.working.difference_update(gone.tolist())
+    final = _states(protocol, states)
+    execution.states[:] = final
+    same = (registers == states).all(0)
+    published = _states(protocol, registers[:, ~same])
+    execution.registers[:] = final
+    for p, state in zip(np.flatnonzero(~same).tolist(), published):
+        execution.registers[p] = state
+    return tstar if terminated else None

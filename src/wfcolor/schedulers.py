@@ -185,7 +185,7 @@ class Scheduler:
         if isinstance(d, RoundRobin):
             return frozenset((t % self.node_count,))
         if isinstance(d, RandomSched):
-            draw = random.Random(f"rand:{d.seed}:{t}").random
+            draw = random_stream(d.seed, t).random
             p = d.p_act
             return frozenset([i for i in range(self.node_count) if draw() < p])
         if isinstance(d, CrashSched):
@@ -206,6 +206,12 @@ class Scheduler:
             index = min(max(t - 1, 0), len(d.sets))
             return self._suffix[index]
         return self._all
+
+
+def random_stream(seed: int, t: int) -> random.Random:
+    """The generator whose draws, one per node in index order, decide
+    sigma(t) of rand:<p>:<seed>."""
+    return random.Random(f"rand:{seed}:{t}")
 
 
 def make_scheduler(descriptor: Descriptor | str, node_count: int) -> Scheduler:

@@ -306,6 +306,15 @@ def test_unknown_flag_names_the_usage_of_its_command(capsys):
     assert "unrecognized arguments: --sched rr" in err
 
 
+def test_unknown_flag_before_the_command_names_the_top_level_usage(capsys):
+    code = run_cli("--x", "run", "--protocol", "slow6", "--n", "3", "--y")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("usage: wfcolor [-h]")
+    assert "wfcolor: error: unrecognized arguments: --x\n" in err
+    assert "usage: wfcolor run" not in err
+
+
 def test_run_two_colors_a_relabeled_even_cycle(tmp_path, capsys):
     edges = tmp_path / "c8.edges"
     edges.write_text("0 3\n3 1\n1 5\n5 2\n2 7\n7 4\n4 6\n6 0\n")

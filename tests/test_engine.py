@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import wfcolor
 from wfcolor.engine import (
     TraceFileWriter,
     TraceHeader,
@@ -139,6 +144,38 @@ def test_run_triangle_synchronous():
 def test_run_rejects_zero_horizon():
     with pytest.raises(ValueError):
         run(triangle_execution(), make_scheduler("sync", 3), 0)
+
+
+@pytest.mark.parametrize("text,count", [("rand:0.5:1", 3), ("sync", 7)])
+def test_run_rejects_a_scheduler_built_for_another_node_count(text, count):
+    # a 3-node rand scheduler on C5 would never activate nodes 3 and 4 yet
+    # report termination; a 7-node one would fail only at its first step
+    ex = new_execution(cycle(5), monotone_chain_ids(5), "slow6")
+    with pytest.raises(ValueError, match=f"built for {count} nodes, the execution has 5"):
+        run(ex, make_scheduler(text, count), 200)
+    assert ex.activations == [0] * 5
+
+
+def test_small_runs_and_model_checks_never_import_numpy():
+    # numpy adds about 12 MB to a process; only the kernel for large cycles may load it
+    src = os.path.dirname(os.path.dirname(wfcolor.__file__))
+    code = """
+import sys
+import wfcolor, wfcolor.cli, wfcolor.engine
+from wfcolor import cycle, exhaustive_check, explicit_ids, make_scheduler, monotone_chain_ids
+from wfcolor import new_execution, run
+g = cycle(16)
+ex = new_execution(g, monotone_chain_ids(16), "slow6")
+assert run(ex, make_scheduler("sync", 16), 400, keep_steps=False).terminated
+c4 = cycle(4)
+assert exhaustive_check(c4, explicit_ids(c4, (1, 2, 5, 9)), "slow6", 10).verdict == "pass"
+print(sorted(m for m in sys.modules if m.split(".")[0] == "numpy"))
+"""
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": path})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 def test_run_reports_non_termination():

@@ -1,0 +1,199 @@
+"""Differential tests of the numpy kernel against the reference engine.
+
+The kernel restates engine.step on arrays; every test here runs the
+reference loop next to it and asks for the same executions, the same step
+records and the same trace bytes.
+"""
+
+import io
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+np = pytest.importorskip("numpy")
+
+from wfcolor import engine, kernel  # noqa: E402
+from wfcolor.analysis import XhatColoringObserver  # noqa: E402
+from wfcolor.engine import StepRecord, TraceFileWriter, TraceHeader, new_execution  # noqa: E402
+from wfcolor.model import (  # noqa: E402
+    cycle,
+    explicit_ids,
+    monotone_chain_ids,
+    proper_coloring_ids,
+    random_unique_ids,
+)
+from wfcolor.protocols import CYCLE_ONLY  # noqa: E402
+from wfcolor.schedulers import make_scheduler  # noqa: E402
+
+
+def materialize(record: StepRecord) -> StepRecord:
+    return StepRecord(record.t, tuple(record.activated), dict(record.writes),
+                      dict(record.reads), dict(record.decisions))
+
+
+def make_ids(graph, kind, seed):
+    n = graph.node_count
+    if kind == "chain":
+        return monotone_chain_ids(n)
+    if kind == "proper:3":  # not unique: neighbors of a neighbor may hold equal ids
+        return proper_coloring_ids(graph, 3, seed=seed)
+    if kind == "wide":  # up to the kernel's limit, where cv_reduce reads high bits
+        return explicit_ids(graph, random.Random(seed).sample(range(engine.KERNEL_ID_LIMIT), n))
+    return random_unique_ids(graph, seed=seed)
+
+
+@st.composite
+def schedules(draw, n):
+    p = draw(st.sampled_from([0.3, 0.5, 1.0]))
+    seed = draw(st.integers(0, 10**6))
+    kind = draw(st.sampled_from(["sync", "rr", "rand", "crash", "replay"]))
+    if kind in ("sync", "rr"):
+        return kind
+    if kind == "rand":
+        return f"rand:{p}:{seed}"
+    if kind == "crash":
+        crashes = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, 8)),
+                                min_size=1, max_size=3))
+        return "crash:" + ",".join(f"{q}@{t}" for q, t in crashes) + f";rand:{p}:{seed}"
+    sets = draw(st.lists(st.frozensets(st.integers(0, n - 1)), max_size=40))
+    return "replay:@" + "|".join(",".join(map(str, sorted(s))) for s in sets)
+
+
+@st.composite
+def runs(draw):
+    n = draw(st.integers(3, 40))
+    protocol = draw(st.sampled_from(CYCLE_ONLY))
+    ids_kind = draw(st.sampled_from(["random", "chain", "proper:3", "wide"]))
+    seed = draw(st.integers(0, 10**6))
+    text = draw(schedules(n))
+    horizon = draw(st.one_of(st.integers(1, 12), st.just(engine.default_horizon(protocol, n))))
+    # steps applied before the run, so that it starts from written registers
+    before = draw(st.lists(st.frozensets(st.integers(0, n - 1)), max_size=3))
+    return n, protocol, ids_kind, seed, text, horizon, before
+
+
+def run_both(n, protocol, ids, text, horizon, before=()):
+    """The reference run and the kernel run of one instance: each execution,
+    its tstar, its materialized records and its trace writer's step lines."""
+    graph = cycle(n)
+    header = TraceHeader(graph, ids, protocol, text, 0, horizon)
+    results = []
+    for use_kernel in (False, True):
+        execution = new_execution(graph, ids, protocol)
+        for s in before:
+            execution.apply_step(s, record=False)
+        records = []
+        buffer = io.StringIO()
+        observers = [lambda r: records.append(materialize(r)), TraceFileWriter(buffer, header)]
+        scheduler = make_scheduler(text, n)
+        if use_kernel:
+            tstar = kernel.run(execution, scheduler, horizon, observers)
+        else:
+            tstar = engine.run(execution, scheduler, horizon, observers, keep_steps=True).tstar
+        results.append((execution, tstar, records, buffer.getvalue()))
+    return results
+
+
+STATE = ("states", "registers", "returned", "activations", "working", "last_movers", "_t")
+
+
+@settings(max_examples=200, deadline=None)
+@given(runs())
+def test_the_kernel_leaves_what_the_reference_leaves(case):
+    n, protocol, ids_kind, seed, text, horizon, before = case
+    ids = make_ids(cycle(n), ids_kind, seed)
+    (ref, ref_tstar, ref_records, ref_lines), (ker, ker_tstar, ker_records, ker_lines) = run_both(
+        n, protocol, ids, text, horizon, before
+    )
+    assert ker_tstar == ref_tstar
+    for name in STATE:
+        assert getattr(ker, name) == getattr(ref, name), name
+    assert list(ker.returned) == list(ref.returned)  # in the order of return
+    assert ker_records == ref_records
+    assert ker_lines == ref_lines
+
+
+def test_register_and_state_share_one_object_once_returned():
+    n = 30
+    (ref, *_), (ker, *_) = run_both(n, "fast5", random_unique_ids(cycle(n), seed=2), "sync", 400)
+    assert ker.returned == ref.returned and len(ker.returned) == n
+    assert all(ker.registers[p] is ker.states[p] for p in range(n))
+
+
+def test_run_routes_a_large_cycle_to_the_kernel_with_identical_trace_bytes(monkeypatch):
+    n = engine.KERNEL_MIN_NODES
+    graph = cycle(n)
+    ids = random_unique_ids(graph, seed=5)
+    text = "rand:0.5:9"
+    calls = []
+    real_run = kernel.run
+    monkeypatch.setattr(kernel, "run", lambda *args: calls.append(1) or real_run(*args))
+    written = []
+    for keep_steps in (True, False):
+        buffer = io.StringIO()
+        execution = new_execution(graph, ids, "fast5")
+        scheduler = make_scheduler(text, n)
+        writer = TraceFileWriter(buffer, TraceHeader(graph, ids, "fast5", text, 4, 400))
+        trace = engine.run(execution, scheduler, 400, [writer], keep_steps=keep_steps, seed=4)
+        writer.finish(trace)
+        written.append(buffer.getvalue())
+    assert calls == [1]  # only the run that keeps no steps
+    assert trace.terminated
+    assert written[0] == written[1]
+
+
+@pytest.mark.parametrize("p", [0.3, 0.5, 1.0])
+@pytest.mark.parametrize("n", [1, 7, 33, 101])
+def test_rand_masks_equal_the_scheduler_draws(p, n):
+    for seed in (0, 1, 17, 123456):
+        scheduler = make_scheduler(f"rand:{p}:{seed}", n)
+        masks = kernel._activation_masks(scheduler, n)
+        for t in range(1, 51):
+            assert np.flatnonzero(masks(t)).tolist() == sorted(scheduler.at(t))
+
+
+def test_cv_reduce_equals_the_reference_on_every_small_pair_and_at_the_limit():
+    from wfcolor.cointoss import cv_reduce
+
+    values = list(range(130)) + [2**40, 2**40 + 1, 2**52, engine.KERNEL_ID_LIMIT - 1]
+    x = np.array([a for a in values for _ in values])
+    y = np.array([b for _ in values for b in values])
+    expected = [cv_reduce(a, b) for a, b in zip(x.tolist(), y.tolist())]
+    assert kernel.cv_reduce(x, y).tolist() == expected
+
+
+def array_record(t, graph, registers, movers, published):
+    """A kernel record of a fast5 step in which movers publish the given ids."""
+    adjacency = np.array(graph.adjacency).T
+    movers = np.array(movers)
+    pre = np.zeros((4, len(movers)), dtype=np.int64)
+    pre[kernel.X] = published
+    registers[:, movers] = pre
+    view = registers[:, adjacency[:, movers]]
+    returns, colors, new = kernel._fast5(pre, view, view[kernel.X] >= 0)
+    active = np.zeros(graph.node_count, dtype=bool)
+    active[movers] = True
+    return kernel._record(t, "fast5", active, movers, pre, view, returns, colors, new)
+
+
+def test_xhat_observer_flags_colliding_arrays_as_its_loop_does():
+    graph = cycle(5)
+    registers = np.zeros((4, 5), dtype=np.int64)
+    registers[kernel.X] = -1  # unwritten
+    records = [
+        array_record(1, graph, registers, [0, 1, 3], [3, 3, 9]),
+        array_record(2, graph, registers, [2, 4], [9, 3]),
+    ]
+    arrays, loop = XhatColoringObserver(graph), XhatColoringObserver(graph)
+    for record in records:
+        arrays(record)
+        loop(materialize(record))
+    assert arrays.report.violations == loop.report.violations == [
+        (1, 0, "published ids of neighbors 0,1 both 3"),
+        (1, 1, "published ids of neighbors 1,0 both 3"),
+        (2, 2, "published ids of neighbors 2,3 both 9"),
+        (2, 4, "published ids of neighbors 4,0 both 3"),
+    ]
+    assert arrays.report.checked == loop.report.checked == 10
+    assert type(arrays.report.checked) is int
