@@ -16,6 +16,7 @@ import os
 import re
 import statistics
 import sys
+import time
 from dataclasses import dataclass, fields
 
 from . import analysis, cointoss, engine, model, schedulers
@@ -299,11 +300,13 @@ def cmd_mc(cfg: ExperimentConfig) -> int:
         raise ConfigError("mc needs --bound")
     bound = _bound(cfg, cfg.protocol, graph.node_count)
     ids = _resolve_ids(cfg, graph, cfg.seed)
+    start = time.perf_counter()
     try:
         report = schedulers.exhaustive_check(graph, ids, cfg.protocol, bound)
     except schedulers.StateSpaceExceeded as exc:
         print(f"state space exceeded: {exc}")
         return VIOLATION
+    wall_s = time.perf_counter() - start
     print(f"explored: {report.explored}")
     print(f"memo_hits: {report.memo_hits}")
     print(f"max_activations: {report.max_activations}")
@@ -315,6 +318,9 @@ def cmd_mc(cfg: ExperimentConfig) -> int:
         print(f"bound violation: node {node} reached {count} > {bound}")
         if report.bound_schedule is not None:
             print(f"  schedule: {list(report.bound_schedule)}")
+    print(f"transitions: {report.transitions}")
+    print(f"max_depth: {report.max_depth}")
+    print(f"transitions_per_s: {report.transitions / wall_s:.0f}")
     if report.verdict == "pass":
         return OK
     if cfg.trace:

@@ -25,7 +25,7 @@ from typing import Iterable, Sequence, Union
 
 from .engine import new_execution, step
 from .model import Graph, IdAssignment
-from .protocols import ACTIVATE, Return, palette_ok
+from .protocols import ACTIVATE, Continue, Return, palette_ok
 
 
 @dataclass(frozen=True)
@@ -314,12 +314,19 @@ class McReport:
     bound_schedule: tuple[tuple[int, ...], ...] | None = None
     memo_hits: int = 0
     max_activations: int = 0
+    max_depth: int = 0  # longest schedule on the DFS stack
 
     @property
     def verdict(self) -> str:
         if self.safety_violations or self.bound_violations:
             return "fail"
         return "pass"
+
+    @property
+    def transitions(self) -> int:
+        """Steps taken: each reached a new configuration, a seen one, or a
+        violation that ended the search."""
+        return self.explored - 1 + self.memo_hits + (self.verdict == "fail")
 
 
 def exhaustive_check(
@@ -336,8 +343,22 @@ def exhaustive_check(
     (registers, states, outputs, activation counts), and checks at
     every new configuration that returned neighbors hold distinct in-palette
     colors and that no process worked past the activation bound. Each DFS
-    stack entry holds a configuration, its untried subsets and the schedule
-    to it; at the first violation the witness is that schedule plus one step.
+    stack entry holds a configuration, a countdown into the subsets of its
+    working processes and the schedule to it; at the first violation the
+    witness is that schedule plus one step.
+
+    A configuration holds small ints: each distinct ProtocolState gets an id
+    the first time it appears, the unwritten register (None) is id 0, and
+    registers and states are tuples of ids; outputs are colors or None.
+    engine.step runs on the ids through a transition memo over
+    ACTIVATE[protocol]: a miss decodes the ids, calls the transition and
+    keeps its Return, or a Continue holding the id of the new state. The
+    transitions are pure functions of (state, views), so the memo is exact,
+    and interning by equality merges exactly the configurations that equal
+    objects would: the counts, verdicts and witnesses are those of a search
+    over the objects themselves. The subsets of each distinct tuple of
+    working processes and the palette test of each distinct color are
+    computed once.
 
     With activation_bound=None only safety is checked: activation counts are
     dropped from the configuration, so the reachable space is explored
@@ -355,26 +376,66 @@ def exhaustive_check(
     activate = ACTIVATE[protocol]
     counted = activation_bound is not None
 
+    values: list = [None]  # id -> ProtocolState; 0 is the unwritten register
+    index = {None: 0}
+    transition: dict = {}  # (state id, view ids) -> Return or Continue(state id)
+
+    def intern(value) -> int:
+        i = index.get(value)
+        if i is None:
+            i = index[value] = len(values)
+            values.append(value)
+        return i
+
+    def activate_ids(sid: int, view_ids: tuple[int, ...]):
+        key = (sid, view_ids)
+        decision = transition.get(key)
+        if decision is None:
+            decision = activate(values[sid], tuple([values[v] for v in view_ids]))
+            if type(decision) is Continue:
+                decision = Continue(intern(decision.state))
+            transition[key] = decision
+        return decision
+
+    subsets_of: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
+
+    def subsets(outputs: Sequence) -> tuple[tuple[int, ...], ...]:
+        working = tuple([p for p in range(n) if outputs[p] is None])
+        found = subsets_of.get(working)
+        if found is None:
+            found = subsets_of[working] = tuple(
+                tuple([working[i] for i in range(len(working)) if mask >> i & 1])
+                for mask in range(1, 1 << len(working))
+            )
+        return found
+
+    in_palette: dict = {}  # color -> palette_ok
+
     initial = (
-        tuple(base.registers),
-        tuple(base.states),
+        tuple([intern(r) for r in base.registers]),
+        tuple([intern(s) for s in base.states]),
         (None,) * n,
         (0,) * n if counted else (),
     )
     report = McReport(explored=1)
     seen = {initial}
-    stack = [(initial, _subsets_of_working(initial[2], n), ())]
+    first = subsets(initial[2])
+    stack = [[initial, first, len(first), ()]]
 
     while stack:
-        config, pending, schedule = stack[-1]
-        if not pending:
+        entry = stack[-1]
+        left = entry[2]
+        if not left:
             stack.pop()
             continue
-        movers = pending.pop()
+        left -= 1
+        entry[2] = left
+        config, choices, _, schedule = entry
+        movers = choices[left]
         registers, states, outputs, counts = config
         new_registers = list(registers)
         new_states = list(states)
-        _, decisions = step(new_registers, new_states, movers, adjacency, activate)
+        _, decisions = step(new_registers, new_states, movers, adjacency, activate_ids)
         new_outputs = list(outputs)
         new_counts = list(counts)
         for p, decision in zip(movers, decisions):
@@ -390,7 +451,10 @@ def exhaustive_check(
             color = new_outputs[p]
             if color is None:
                 continue
-            if not palette_ok(protocol, color, delta):
+            ok = in_palette.get(color)
+            if ok is None:
+                ok = in_palette[color] = palette_ok(protocol, color, delta)
+            if not ok:
                 detail = f"node {p} returned {color!r} outside the palette"
                 report.safety_violations.append(Counterexample(schedule + (movers,), detail))
                 return report
@@ -414,14 +478,8 @@ def exhaustive_check(
         report.explored += 1
         if report.explored > config_ceiling:
             raise StateSpaceExceeded(f"explored more than {config_ceiling} configurations")
-        if any(out is None for out in new_outputs):
-            stack.append((new_config, _subsets_of_working(new_outputs, n), schedule + (movers,)))
+        if None in new_outputs:
+            choices = subsets(new_outputs)
+            stack.append([new_config, choices, len(choices), schedule + (movers,)])
+            report.max_depth = max(report.max_depth, len(stack) - 1)
     return report
-
-
-def _subsets_of_working(outputs: Sequence, n: int) -> list[tuple[int, ...]]:
-    working = [p for p in range(n) if outputs[p] is None]
-    subsets = []
-    for mask in range(1, 1 << len(working)):
-        subsets.append(tuple(working[i] for i in range(len(working)) if mask >> i & 1))
-    return subsets

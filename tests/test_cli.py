@@ -114,6 +114,10 @@ def test_mc_triangle_passes(capsys):
     assert code == 0
     assert "verdict: pass" in out
     assert "explored:" in out
+    lines = out.splitlines()
+    assert lines[4:6] == ["transitions: 246", "max_depth: 5"]
+    assert lines[6].startswith("transitions_per_s: ")
+    assert float(lines[6].split(": ")[1]) > 0
 
 
 def test_mc_tight_bound_fails(capsys):

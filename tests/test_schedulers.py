@@ -2,7 +2,13 @@ import pytest
 
 from wfcolor import protocols
 from wfcolor.engine import new_execution, run
-from wfcolor.model import cycle, explicit_ids, random_unique_ids
+from wfcolor.model import (
+    cycle,
+    explicit_ids,
+    monotone_chain_ids,
+    random_connected_graph,
+    random_unique_ids,
+)
 from wfcolor.schedulers import (
     ReplaySched,
     Scheduler,
@@ -232,3 +238,53 @@ def test_exhaustive_reports_a_return_outside_the_palette(monkeypatch):
     [counterexample] = report.safety_violations
     assert counterexample.schedule == ((0, 1, 2),)
     assert counterexample.detail == "node 0 returned (3, 0) outside the palette"
+
+
+# (protocol, graph, ids, bound) -> (verdict, explored, memo_hits, max_activations):
+# these pin the DFS order and the merging of configurations, not only verdicts
+C4, C5, TRIANGLE = cycle(4), cycle(5), cycle(3)
+K4 = random_connected_graph(4, 3, 0)
+PINNED_CHECKS = [
+    ("slow6", C4, monotone_chain_ids(4), 10, ("pass", 2483, 4965, 4)),
+    ("slow6", C5, explicit_ids(C5, (26, 34, 29, 43, 12)), 11, ("pass", 2406, 10991, 4)),
+    ("slow6", C5, explicit_ids(C5, (26, 34, 29, 43, 12)), None, ("pass", 1895, 10072, 0)),
+    ("deltasq", K4, explicit_ids(K4, (26, 34, 29, 43)), None, ("pass", 1762, 4752, 0)),
+    ("slow5", TRIANGLE, explicit_ids(TRIANGLE, (1, 2, 5)), 25, ("fail", 213, 0, 25)),
+    ("fast5", TRIANGLE, explicit_ids(TRIANGLE, (1, 2, 5)), 25, ("fail", 213, 0, 25)),
+]
+
+
+def _counts(report):
+    return report.verdict, report.explored, report.memo_hits, report.max_activations
+
+
+@pytest.mark.parametrize(
+    "protocol,graph,ids,bound,expected", PINNED_CHECKS,
+    ids=["slow6-C4-chain-10", "slow6-C5-11", "slow6-C5-safety", "deltasq-K4-safety",
+         "slow5-C3-25", "fast5-C3-25"],
+)
+def test_exhaustive_counts_are_pinned(protocol, graph, ids, bound, expected):
+    report = exhaustive_check(graph, ids, protocol, bound)
+    assert _counts(report) == expected
+
+
+def test_exhaustive_calls_the_transition_once_per_state_and_views(monkeypatch):
+    real = protocols.ACTIVATE["slow6"]
+    inputs = []
+
+    def recorder(state, views):
+        inputs.append((state, views))
+        return real(state, views)
+
+    monkeypatch.setitem(protocols.ACTIVATE, "slow6", recorder)
+    protocol, graph, ids, bound, expected = PINNED_CHECKS[0]
+    report = exhaustive_check(graph, ids, protocol, bound)
+    assert _counts(report) == expected
+    assert inputs and len(inputs) == len(set(inputs))
+
+
+def test_exhaustive_counts_the_violating_step_as_a_transition():
+    g = cycle(3)
+    report = exhaustive_check(g, explicit_ids(g, [1, 2, 5]), "slow6", 2)
+    assert (report.explored, report.memo_hits, report.transitions, report.max_depth) == (
+        14, 13, 27, 3)
