@@ -289,8 +289,8 @@ def blocked_at(trace: Trace, node: int, t: int) -> bool:
     _require_protocol(trace, FAST5, "blocked_at")
     if not 0 <= t <= len(trace.steps):
         raise ValueError(f"time {t} outside the recorded 0..{len(trace.steps)} range")
-    r_local: int | float = 0
-    r_hat: int | float | None = None
+    r_local = 0
+    r_hat: int | None = None
     for record in trace.steps:
         if record.t > t:
             break

@@ -285,24 +285,12 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _encode_counter(r: int | float | None) -> int | str | None:
-    if r is None:
-        return None
-    return "inf" if r == INFINITE else r
-
-
-def _decode_counter(raw) -> int | float | None:
-    if raw is None:
-        return None
-    return INFINITE if raw == "inf" else raw
-
-
 def encode_record(rec: View) -> list | None:
     if rec is None:
         return None
     if rec.r is None:
         return [rec.x, rec.a, rec.b]
-    return [rec.x, _encode_counter(rec.r), rec.a, rec.b]
+    return [rec.x, "inf" if rec.r == INFINITE else rec.r, rec.a, rec.b]
 
 
 def decode_record(raw, protocol: str) -> View:
@@ -310,9 +298,9 @@ def decode_record(raw, protocol: str) -> View:
         return None
     if protocol == FAST5:
         x, r, a, b = raw
-        return ProtocolState(protocol, x, a, b, _decode_counter(r))
+        return ProtocolState(x, a, b, INFINITE if r == "inf" else r)
     x, a, b = raw
-    return ProtocolState(protocol, x, a, b)
+    return ProtocolState(x, a, b)
 
 
 def _encode_color(color: Color) -> int | list[int]:
@@ -326,21 +314,16 @@ def _decode_color(raw) -> Color:
 def _encode_decision(decision: Decision) -> list:
     if isinstance(decision, Return):
         return ["ret", _encode_color(decision.color)]
-    st = decision.state
-    if st.r is None:
-        return ["cont", [st.x, st.a, st.b]]
-    return ["cont", [st.x, _encode_counter(st.r), st.a, st.b]]
+    return ["cont", encode_record(decision.state)]
 
 
 def _decode_decision(raw, protocol: str) -> Decision:
     tag, payload = raw
     if tag == "ret":
         return Return(_decode_color(payload))
-    if protocol == FAST5:
-        x, r, a, b = payload
-        return Continue(ProtocolState(protocol, x, a, b, _decode_counter(r)))
-    x, a, b = payload
-    return Continue(ProtocolState(protocol, x, a, b))
+    if tag == "cont":
+        return Continue(decode_record(payload, protocol))
+    raise ValueError(f"decision tag {tag!r} is neither 'ret' nor 'cont'")
 
 
 def header_line(header: TraceHeader) -> str:
@@ -419,31 +402,43 @@ def parse_header(line: str) -> TraceHeader:
 
 
 def read_trace(path: str) -> Trace:
+    """A trace file decoded under its header's protocol; a ValueError names
+    the file and the 1-based line of the first malformed line."""
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if len(lines) < 2:
         raise ValueError(f"trace file {path} is truncated")
-    header = parse_header(lines[0])
-    protocol = header.protocol
-    steps = []
-    for line in lines[1:-1]:
-        raw = json.loads(line)
-        steps.append(
-            StepRecord(
-                raw["t"],
-                tuple(raw["act"]),
-                {int(p): decode_record(rec, protocol) for p, rec in raw["w"].items()},
-                {
-                    int(p): tuple(decode_record(v, protocol) for v in views)
-                    for p, views in raw["rd"].items()
-                },
-                {int(p): _decode_decision(d, protocol) for p, d in raw["dec"].items()},
+    lineno = 1
+    try:
+        header = parse_header(lines[0])
+        protocol = header.protocol
+        steps = []
+        for lineno, line in enumerate(lines[1:-1], 2):
+            raw = json.loads(line)
+            steps.append(
+                StepRecord(
+                    raw["t"],
+                    tuple(raw["act"]),
+                    {int(p): decode_record(rec, protocol) for p, rec in raw["w"].items()},
+                    {
+                        int(p): tuple(decode_record(v, protocol) for v in views)
+                        for p, views in raw["rd"].items()
+                    },
+                    {int(p): _decode_decision(d, protocol) for p, d in raw["dec"].items()},
+                )
             )
-        )
-    tail = json.loads(lines[-1])
-    outputs = {int(p): _decode_color(c) for p, c in tail["out"].items()}
+        lineno = len(lines)
+        tail = json.loads(lines[-1])
+        outputs = {int(p): _decode_color(c) for p, c in tail["out"].items()}
+        tstar = tail["tstar"]
+    except json.JSONDecodeError:
+        raise ValueError(f"trace file {path} line {lineno}: not a JSON line") from None
+    except KeyError as exc:
+        raise ValueError(f"trace file {path} line {lineno}: no field {exc.args[0]!r}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ValueError(f"trace file {path} line {lineno}: {exc}") from None
     activations: dict[int, int] = {p: 0 for p in range(header.graph.node_count)}
     for record in steps:
         for p in record.decisions:
             activations[p] += 1
-    return Trace(header, steps, outputs, activations, tail["tstar"])
+    return Trace(header, steps, outputs, activations, tstar)

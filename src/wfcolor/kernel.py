@@ -2,12 +2,13 @@
 
 `run` steps slow6, slow5 and fast5 on a 2-regular graph. The states and the
 registers are (4, n) int64 tables whose rows are x, a, b and r; an unwritten
-register holds x = -1, which no identifier equals, and fast5's INFINITE
-counter is the sentinel `_INF`. A step writes the movers' columns into the
-register table, gathers each mover's two neighbor registers through a
-(2, n) adjacency array and applies the protocol's transition to all movers
-at once. `cv_reduce` gets bit lengths from `np.frexp`, which is exact below
-2**53, and the least color missing from a bitmask is a table lookup.
+register holds x = -1, which no identifier equals, and fast5's frozen
+counter is `protocols.INFINITE`, the same int as in a ProtocolState. A step
+writes the movers' columns into the register table, gathers each mover's
+two neighbor registers through a (2, n) adjacency array and applies the
+protocol's transition to all movers at once. `cv_reduce` gets bit lengths
+from `np.frexp`, which is exact below 2**53, and the least color missing
+from a bitmask is a table lookup.
 
 `engine.step` stays the one definition of the step; tests/test_kernel.py
 checks this restatement against it. `engine.run` sends a run here only when
@@ -29,7 +30,6 @@ from .protocols import FAST5, INFINITE, SLOW5, SLOW6, Continue, ProtocolState, R
 from .schedulers import RandomSched, Scheduler, random_stream
 
 X, A, B, R = range(4)  # the rows of a state or register table
-_INF = 1 << 62  # fast5's INFINITE counter; r + 1 stays clear of overflow
 _MEX = np.array([mex(c for c in range(6) if m >> c & 1) for m in range(64)], dtype=np.int64)
 
 
@@ -82,7 +82,7 @@ def _fast5(pre, view, written):
     x, r = pre[X], pre[R]
     (x0, x1), (r0, r1) = view[X], view[R]
     # the identifier move, for the continuing movers whose counter may move
-    moving = np.flatnonzero(~returns & written[0] & written[1] & (r < _INF) & (r <= r0) & (r <= r1))
+    moving = np.flatnonzero(~returns & written[0] & written[1] & (r < INFINITE) & (r <= r0) & (r <= r1))
     if not len(moving):
         return returns, colors, new
     x, x0, x1, r = (column.take(moving) for column in (x, x0, x1, r))
@@ -93,7 +93,7 @@ def _fast5(pre, view, written):
     c0, c1 = (np.minimum(cv_reduce(v, x), 5) for v in (x0, x1))
     drop = np.minimum(x, _MEX.take(1 << c0 | 1 << c1))
     new[X, moving] = np.where(between, np.where(y < lo, y, x), np.where(x < lo, drop, x))
-    new[R, moving] = np.where(between, r + 1, _INF)
+    new[R, moving] = np.where(between, r + 1, INFINITE)
     return returns, colors, new
 
 
@@ -111,9 +111,7 @@ def _put(table: np.ndarray, nodes: np.ndarray, columns: np.ndarray) -> None:
 
 def _table(states: list) -> np.ndarray:
     """The (4, n) table of a list of states, x = -1 where a state is None."""
-    rows = [(-1, 0, 0, 0) if s is None else
-            (s.x, s.a, s.b, 0 if s.r is None else _INF if s.r == INFINITE else s.r)
-            for s in states]
+    rows = [(-1, 0, 0, 0) if s is None else (s.x, s.a, s.b, s.r or 0) for s in states]
     return np.array(rows, dtype=np.int64).reshape(-1, 4).T.copy()
 
 
@@ -123,13 +121,15 @@ _new_state = partial(tuple.__new__, ProtocolState)  # ProtocolState(*fields), at
 def _states(protocol: str, table: np.ndarray) -> list:
     """The ProtocolStates of a table's columns; None where x = -1."""
     x, a, b, r = table.tolist()
-    r = [INFINITE if v == _INF else v for v in r] if protocol == FAST5 else repeat(None)
+    # tolist makes an int object per entry; frozen counters share INFINITE's,
+    # 32 bytes less per frozen state
+    r = [INFINITE if v == INFINITE else v for v in r] if protocol == FAST5 else repeat(None)
     # The collections that 10^5 new tuples set off cost a third of a run on a
-    # 10^5-cycle, and tuples of numbers and strings cannot form a cycle.
+    # 10^5-cycle, and tuples of numbers cannot form a cycle.
     enabled = gc.isenabled()
     gc.disable()
     try:
-        states = list(map(_new_state, zip(repeat(protocol), x, a, b, r)))
+        states = list(map(_new_state, zip(x, a, b, r)))
     finally:
         if enabled:
             gc.enable()

@@ -2,11 +2,14 @@
 
 Every activation takes the process's state together with the registers read
 from its neighbors and yields a decision: either the final color, or the next
-state. A register holds its writer's state as written: the state is an
-immutable ProtocolState, so the write stores the object itself. An unwritten
-neighbor register reads as None; it equals no color and contributes to no
-comparison set, so a process that sees only unwritten registers returns
-immediately.
+state. A state is exactly what its register holds, the identifier x, the
+color components a and b and, for fast5, the counter r; it is an immutable
+ProtocolState, so the write stores the object itself. Which protocol a state
+belongs to is the caller's to know: an execution, a trace and a model check
+each run one protocol. A frozen fast5 counter is INFINITE, an int above any
+counter a run reaches. An unwritten neighbor register reads as None; it
+equals no color and contributes to no comparison set, so a process that sees
+only unwritten registers returns immediately.
 
 slow6   two-sided color pair (a, b), palette {(a, b) : a + b <= 2}, cycles
 slow5   scalar color from {0..4} chosen between the a and b components, cycles
@@ -20,7 +23,7 @@ from typing import Iterable, NamedTuple, Sequence, Union
 
 from .cointoss import cv_reduce
 
-INFINITE = float("inf")
+INFINITE = 1 << 62  # a frozen fast5 counter; r + 1 still fits in int64
 
 SLOW6 = "slow6"
 SLOW5 = "slow5"
@@ -31,19 +34,14 @@ PROTOCOLS = (SLOW6, SLOW5, FAST5, DELTASQ)
 CYCLE_ONLY = (SLOW6, SLOW5, FAST5)
 
 
-class ProtocolMismatch(ValueError):
-    """A state or register belongs to a different protocol."""
-
-
 class ProtocolState(NamedTuple):
     """A process's state, which is also what its register holds once
     written; r is used by fast5 only."""
 
-    protocol: str
     x: int
     a: int = 0
     b: int = 0
-    r: int | float | None = None
+    r: int | None = None
 
 
 class Return(NamedTuple):
@@ -64,7 +62,7 @@ def initial_state(protocol: str, x: int) -> ProtocolState:
     """Fresh state for input identifier x: colors zero, counter zero."""
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}")
-    return ProtocolState(protocol, x, 0, 0, 0 if protocol == FAST5 else None)
+    return ProtocolState(x, 0, 0, 0 if protocol == FAST5 else None)
 
 
 def mex(values: Iterable[int]) -> int:
@@ -80,17 +78,15 @@ def mex(values: Iterable[int]) -> int:
 # least color absent from a mask m is the index of its lowest clear bit,
 # ((m + 1) & ~m).bit_length() - 1.
 
-def _two_sided_step(state: ProtocolState, views: Sequence[View], protocol: str) -> Decision:
-    if state.protocol != protocol:
-        raise ProtocolMismatch(f"state of {state.protocol!r} fed to {protocol}")
+def deltasq_activate(state: ProtocolState, views: Sequence[View]) -> Decision:
+    """One activation of the general-graph protocol: the two-sided rule of
+    slow6 over an arbitrary number of neighbor views."""
     x, a, b = state.x, state.a, state.b
     fresh = True
     above = below = 0
     for v in views:
         if v is None:
             continue
-        if v.protocol != protocol:
-            raise ProtocolMismatch(f"register {v} does not match protocol {protocol}")
         if v.a == a and v.b == b:
             fresh = False
         if v.x > x:
@@ -101,23 +97,17 @@ def _two_sided_step(state: ProtocolState, views: Sequence[View], protocol: str) 
         return Return((a, b))
     a = ((above + 1) & ~above).bit_length() - 1
     b = ((below + 1) & ~below).bit_length() - 1
-    return Continue(ProtocolState(protocol, x, a, b))
+    return Continue(ProtocolState(x, a, b))
 
 
-def _five_color_step(
-    state: ProtocolState, views: Sequence[View], protocol: str
-) -> Return | tuple[int, int]:
+def _five_color_step(state: ProtocolState, views: Sequence[View]) -> Return | tuple[int, int]:
     """The coloring half of slow5 and fast5: the Return when a or b is fresh,
     else the refreshed pair (mex(C+), mex(C))."""
-    if state.protocol != protocol:
-        raise ProtocolMismatch(f"state of {state.protocol!r} fed to {protocol}")
     x = state.x
     seen = above = 0
     for v in views:
         if v is None:
             continue
-        if v.protocol != protocol:
-            raise ProtocolMismatch(f"register {v} does not match protocol {protocol}")
         bits = 1 << v.a | 1 << v.b
         seen |= bits
         if v.x > x:
@@ -140,7 +130,7 @@ def slow6_activate(state: ProtocolState, views: Sequence[View]) -> Decision:
     """
     if len(views) != 2:
         raise ValueError(f"slow6 expects 2 neighbor views, got {len(views)}")
-    return _two_sided_step(state, views, SLOW6)
+    return deltasq_activate(state, views)
 
 
 def slow5_activate(state: ProtocolState, views: Sequence[View]) -> Decision:
@@ -153,10 +143,10 @@ def slow5_activate(state: ProtocolState, views: Sequence[View]) -> Decision:
     """
     if len(views) != 2:
         raise ValueError(f"slow5 expects 2 neighbor views, got {len(views)}")
-    step = _five_color_step(state, views, SLOW5)
+    step = _five_color_step(state, views)
     if type(step) is Return:
         return step
-    return Continue(ProtocolState(SLOW5, state.x, *step))
+    return Continue(ProtocolState(state.x, *step))
 
 
 def fast5_activate(state: ProtocolState, views: Sequence[View]) -> Decision:
@@ -176,7 +166,7 @@ def fast5_activate(state: ProtocolState, views: Sequence[View]) -> Decision:
     """
     if len(views) != 2:
         raise ValueError(f"fast5 expects 2 neighbor views, got {len(views)}")
-    step = _five_color_step(state, views, FAST5)
+    step = _five_color_step(state, views)
     if type(step) is Return:
         return step
     a, b = step
@@ -197,13 +187,7 @@ def fast5_activate(state: ProtocolState, views: Sequence[View]) -> Decision:
             r = INFINITE
             if x < lo:
                 next_x = min(x, mex((cv_reduce(v0.x, x), cv_reduce(v1.x, x))))
-    return Continue(ProtocolState(FAST5, next_x, a, b, r))
-
-
-def deltasq_activate(state: ProtocolState, views: Sequence[View]) -> Decision:
-    """One activation of the general-graph protocol: the two-sided rule of
-    slow6 over an arbitrary number of neighbor views."""
-    return _two_sided_step(state, views, DELTASQ)
+    return Continue(ProtocolState(next_x, a, b, r))
 
 
 ACTIVATE = {

@@ -45,11 +45,14 @@ def test_missing_n_and_graph_is_usage_error(capsys):
     assert run_cli("run", "--protocol", "slow6") == 2
 
 
-def test_run_writes_replayable_trace(tmp_path, capsys):
+# fast5 on 800 nodes runs in the numpy kernel, which hands the trace writer
+# lazy step records
+@pytest.mark.parametrize("protocol, n", [("slow5", 5), ("fast5", 800)], ids=["slow5", "fast5"])
+def test_run_writes_replayable_trace(tmp_path, capsys, protocol, n):
     first = tmp_path / "a.jsonl"
     second = tmp_path / "b.jsonl"
     code = run_cli(
-        "run", "--protocol", "slow5", "--n", "5", "--seed", "9",
+        "run", "--protocol", protocol, "--n", str(n), "--seed", "9",
         "--sched", "rand:0.5:4", "--trace", str(first),
     )
     assert code == 0

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -81,8 +82,8 @@ def test_simultaneous_neighbors_read_fresh_writes():
     # both neighbors of the step see each other's phase-1 value, not bottom
     ex = triangle_execution()
     record = ex.apply_step({0, 1})
-    assert record.reads[0] == (ProtocolState("slow6", 1, 0, 0), None)  # node 0 saw node 1
-    assert record.reads[1] == (ProtocolState("slow6", 5, 0, 0), None)  # node 1 saw node 0
+    assert record.reads[0] == (ProtocolState(1, 0, 0), None)  # node 0 saw node 1
+    assert record.reads[1] == (ProtocolState(5, 0, 0), None)  # node 1 saw node 0
     # neither returned: their colors collide
     assert all(isinstance(d, Continue) for d in record.decisions.values())
 
@@ -90,9 +91,9 @@ def test_simultaneous_neighbors_read_fresh_writes():
 def test_first_synchronous_step_matches_hand_simulation():
     ex = triangle_execution()
     record = ex.apply_step({0, 1, 2})
-    assert record.decisions[0].state == ProtocolState("slow6", 5, 1, 1)
-    assert record.decisions[1].state == ProtocolState("slow6", 1, 1, 0)
-    assert record.decisions[2].state == ProtocolState("slow6", 9, 0, 1)
+    assert record.decisions[0].state == ProtocolState(5, 1, 1)
+    assert record.decisions[1].state == ProtocolState(1, 1, 0)
+    assert record.decisions[2].state == ProtocolState(9, 0, 1)
     record = ex.apply_step({0, 1, 2})
     assert ex.returned == {0: (1, 1), 1: (1, 0), 2: (0, 1)}
     assert ex.activations == [2, 2, 2]
@@ -126,7 +127,7 @@ def test_returned_register_stays_readable():
     record = ex.apply_step({2})
     assert record.decisions[2] == Return((0, 0))
     frozen = ex.registers[2]
-    assert frozen == ProtocolState("slow6", 9, 0, 0)
+    assert frozen == ProtocolState(9, 0, 0)
     record = ex.apply_step({0, 1})
     assert record.reads[0][1] == frozen
     assert record.reads[1][1] == frozen
@@ -223,7 +224,7 @@ def test_write_bookkeeping_matches_local_state():
     ex = new_execution(g, random_unique_ids(g, seed=11), "slow5")
     trace = run(ex, make_scheduler("rand:0.5:3", 5), 300)
     assert trace.terminated
-    states = {p: ProtocolState("slow5", trace.header.ids.ids[p]) for p in range(5)}
+    states = {p: ProtocolState(trace.header.ids.ids[p]) for p in range(5)}
     for record in trace.steps:
         for p, rec in record.writes.items():
             assert rec == states[p]
@@ -271,6 +272,66 @@ def test_trace_round_trip(tmp_path):
     assert loaded.tstar == trace.tstar
     assert loaded.steps == trace.steps
     assert loaded.activations == trace.activations
+
+
+def _edit_step(edit):
+    """A mangler that applies edit to the JSON of the chosen step line."""
+    def mangle(lines, i):
+        raw = json.loads(lines[i])
+        edit(raw)
+        lines[i] = json.dumps(raw)
+        return i + 1
+    return mangle
+
+
+def _three_field_write(raw):
+    p, (x, r, a, b) = next(iter(raw["w"].items()))
+    raw["w"][p] = [x, a, b]
+
+
+def _unknown_decision_tag(raw):
+    p, (_, payload) = next(iter(raw["dec"].items()))
+    raw["dec"][p] = ["zzz", payload]
+
+
+def _not_json(lines, i):
+    lines[i] = lines[i][:-1]
+    return i + 1
+
+
+def _final_without_out(lines, i):
+    raw = json.loads(lines[-1])
+    del raw["out"]
+    lines[-1] = json.dumps(raw)
+    return len(lines)
+
+
+@pytest.mark.parametrize(
+    "mangle, problem",
+    [
+        (_edit_step(lambda raw: raw.pop("rd")), "no field 'rd'"),
+        (_final_without_out, "no field 'out'"),
+        (_edit_step(_three_field_write), "not enough values to unpack"),
+        (_not_json, "not a JSON line"),
+        (_edit_step(_unknown_decision_tag), "decision tag 'zzz'"),
+    ],
+    ids=["step-without-rd", "final-without-out", "3-field-fast5-register", "non-json-step",
+         "unknown-decision-tag"],
+)
+def test_read_trace_names_the_file_and_line_of_a_malformed_line(tmp_path, mangle, problem):
+    g = cycle(4)
+    ex = new_execution(g, explicit_ids(g, [3, 8, 1, 6]), "fast5")
+    path = tmp_path / "trace.jsonl"
+    write_trace(run(ex, make_scheduler("rand:0.6:5", 4), 200, seed=1), str(path))
+    lines = path.read_text(encoding="utf-8").splitlines()
+    busy = next(i for i in range(1, len(lines) - 1) if json.loads(lines[i])["w"])
+    lineno = mangle(lines, busy)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError) as excinfo:
+        read_trace(str(path))
+    message = str(excinfo.value)
+    assert message.startswith(f"trace file {path} line {lineno}: "), message
+    assert problem in message
 
 
 def test_streaming_writer_equals_batch_writer(tmp_path):

@@ -13,7 +13,6 @@ from wfcolor.protocols import (
     DELTASQ,
     FAST5,
     INFINITE,
-    ProtocolMismatch,
     ProtocolState,
     Return,
     SLOW5,
@@ -28,12 +27,12 @@ from wfcolor.protocols import (
 )
 
 
-def rec(x, a=0, b=0, protocol=SLOW6):
-    return ProtocolState(protocol, x, a, b)
+def rec(x, a=0, b=0):
+    return ProtocolState(x, a, b)
 
 
 def frec(x, r=0, a=0, b=0):
-    return ProtocolState(FAST5, x, a, b, r)
+    return ProtocolState(x, a, b, r)
 
 
 def test_mex_examples():
@@ -43,8 +42,8 @@ def test_mex_examples():
 
 
 def test_initial_states():
-    assert initial_state(SLOW6, 7) == ProtocolState(SLOW6, 7, 0, 0, None)
-    assert initial_state(FAST5, 7) == ProtocolState(FAST5, 7, 0, 0, 0)
+    assert initial_state(SLOW6, 7) == ProtocolState(7, 0, 0, None)
+    assert initial_state(FAST5, 7) == ProtocolState(7, 0, 0, 0)
     with pytest.raises(ValueError):
         initial_state("other", 7)
 
@@ -61,30 +60,23 @@ def test_slow6_first_synchronous_round_on_triangle():
     d5 = slow6_activate(initial_state(SLOW6, 5), (rec(1), rec(9)))
     d1 = slow6_activate(initial_state(SLOW6, 1), (rec(5), rec(9)))
     d9 = slow6_activate(initial_state(SLOW6, 9), (rec(5), rec(1)))
-    assert d5 == Continue(ProtocolState(SLOW6, 5, 1, 1))
-    assert d1 == Continue(ProtocolState(SLOW6, 1, 1, 0))
-    assert d9 == Continue(ProtocolState(SLOW6, 9, 0, 1))
+    assert d5 == Continue(ProtocolState(5, 1, 1))
+    assert d1 == Continue(ProtocolState(1, 1, 0))
+    assert d9 == Continue(ProtocolState(9, 0, 1))
 
 
 def test_slow6_second_synchronous_round_returns_distinct_colors():
     d5 = slow6_activate(
-        ProtocolState(SLOW6, 5, 1, 1), (rec(1, 1, 0), rec(9, 0, 1))
+        ProtocolState(5, 1, 1), (rec(1, 1, 0), rec(9, 0, 1))
     )
     d1 = slow6_activate(
-        ProtocolState(SLOW6, 1, 1, 0), (rec(5, 1, 1), rec(9, 0, 1))
+        ProtocolState(1, 1, 0), (rec(5, 1, 1), rec(9, 0, 1))
     )
     d9 = slow6_activate(
-        ProtocolState(SLOW6, 9, 0, 1), (rec(5, 1, 1), rec(1, 1, 0))
+        ProtocolState(9, 0, 1), (rec(5, 1, 1), rec(1, 1, 0))
     )
     colors = {d5.color, d1.color, d9.color}
     assert colors == {(1, 1), (1, 0), (0, 1)}
-
-
-def test_slow6_rejects_foreign_state_and_records():
-    with pytest.raises(ProtocolMismatch):
-        slow6_activate(initial_state(SLOW5, 5), (None, None))
-    with pytest.raises(ProtocolMismatch):
-        slow6_activate(initial_state(SLOW6, 5), (frec(3), None))
 
 
 def test_slow6_wrong_arity():
@@ -99,7 +91,7 @@ colors = st.integers(min_value=0, max_value=3)
 @st.composite
 def slow6_cases(draw):
     x = draw(st.integers(min_value=0, max_value=30))
-    state = ProtocolState(SLOW6, x, draw(colors), draw(colors))
+    state = ProtocolState(x, draw(colors), draw(colors))
     views = []
     for _ in range(2):
         if draw(st.booleans()):
@@ -142,13 +134,13 @@ def test_slow5_isolated_returns_a():
 
 
 def test_slow5_first_synchronous_round_on_triangle():
-    r5, r1, r9 = (rec(x, protocol=SLOW5) for x in (5, 1, 9))
+    r5, r1, r9 = (rec(x) for x in (5, 1, 9))
     d9 = slow5_activate(initial_state(SLOW5, 9), (r5, r1))
     d1 = slow5_activate(initial_state(SLOW5, 1), (r5, r9))
     d5 = slow5_activate(initial_state(SLOW5, 5), (r1, r9))
-    assert d9 == Continue(ProtocolState(SLOW5, 9, 0, 1))
-    assert d1 == Continue(ProtocolState(SLOW5, 1, 1, 1))
-    assert d5 == Continue(ProtocolState(SLOW5, 5, 1, 1))
+    assert d9 == Continue(ProtocolState(9, 0, 1))
+    assert d1 == Continue(ProtocolState(1, 1, 1))
+    assert d5 == Continue(ProtocolState(5, 1, 1))
 
 
 @st.composite
@@ -156,7 +148,7 @@ def slow5_cases(draw, protocol=SLOW5):
     x = draw(st.integers(min_value=0, max_value=30))
     a = draw(colors)
     state = ProtocolState(
-        protocol, x, a, draw(st.integers(min_value=0, max_value=3).map(lambda d: a + d)),
+        x, a, draw(st.integers(min_value=0, max_value=3).map(lambda d: a + d)),
         0 if protocol == FAST5 else None,
     )
     views = []
@@ -164,7 +156,7 @@ def slow5_cases(draw, protocol=SLOW5):
         if draw(st.booleans()):
             vx = draw(view_values.filter(lambda v, x=x: v != x))
             r = draw(st.sampled_from([0, 1, 2, INFINITE])) if protocol == FAST5 else None
-            views.append(ProtocolState(protocol, vx, draw(colors), draw(colors), r))
+            views.append(ProtocolState(vx, draw(colors), draw(colors), r))
         else:
             views.append(None)
     return state, tuple(views)
@@ -203,27 +195,27 @@ def test_fast5_isolated_returns_a():
 
 def test_fast5_between_but_reduction_too_big():
     # f(12, 4) = 7 is not below 4, so only the counter moves
-    state = ProtocolState(FAST5, 12, 0, 0, 0)
+    state = ProtocolState(12, 0, 0, 0)
     decision = fast5_activate(state, (frec(20), frec(4)))
-    assert decision == Continue(ProtocolState(FAST5, 12, 1, 1, 1))
+    assert decision == Continue(ProtocolState(12, 1, 1, 1))
 
 
 def test_fast5_between_adopts_reduction():
     # f(12, 11) = 0 < 11 is adopted
-    state = ProtocolState(FAST5, 12, 0, 0, 0)
+    state = ProtocolState(12, 0, 0, 0)
     decision = fast5_activate(state, (frec(20), frec(11)))
-    assert decision == Continue(ProtocolState(FAST5, 0, 1, 1, 1))
+    assert decision == Continue(ProtocolState(0, 1, 1, 1))
 
 
 def test_fast5_local_minimum_freezes_and_drops():
     # f(20,3) = 0 and f(11,3) = 4; the least value outside {0,4} is 1 < 3
-    state = ProtocolState(FAST5, 3, 0, 0, 0)
+    state = ProtocolState(3, 0, 0, 0)
     decision = fast5_activate(state, (frec(20), frec(11)))
-    assert decision == Continue(ProtocolState(FAST5, 1, 1, 1, INFINITE))
+    assert decision == Continue(ProtocolState(1, 1, 1, INFINITE))
 
 
 def test_fast5_local_maximum_freezes_counter():
-    state = ProtocolState(FAST5, 30, 0, 0, 0)
+    state = ProtocolState(30, 0, 0, 0)
     decision = fast5_activate(state, (frec(20), frec(11)))
     assert isinstance(decision, Continue)
     assert decision.state.r == INFINITE
@@ -232,13 +224,13 @@ def test_fast5_local_maximum_freezes_counter():
 
 def test_fast5_blocked_counter_skips_identifier_move():
     # own counter above a neighbor's: no increment, no identifier change
-    state = ProtocolState(FAST5, 12, 0, 0, 2)
+    state = ProtocolState(12, 0, 0, 2)
     decision = fast5_activate(state, (frec(20, r=1), frec(11, r=5)))
-    assert decision == Continue(ProtocolState(FAST5, 12, 1, 1, 2))
+    assert decision == Continue(ProtocolState(12, 1, 1, 2))
 
 
 def test_fast5_missing_view_skips_identifier_block():
-    state = ProtocolState(FAST5, 12, 0, 0, 0)
+    state = ProtocolState(12, 0, 0, 0)
     decision = fast5_activate(state, (frec(11), None))
     assert isinstance(decision, Continue)
     assert decision.state.r == 0
@@ -273,18 +265,6 @@ def test_fast5_pure_and_symmetric(case):
     assert fast5_activate(state, (views[1], views[0])) == first
 
 
-def test_fast5_rejects_counterless_views():
-    with pytest.raises(ProtocolMismatch):
-        fast5_activate(initial_state(FAST5, 5), (rec(3), None))
-
-
-def test_registers_of_another_protocol_are_rejected():
-    with pytest.raises(ProtocolMismatch):
-        slow6_activate(initial_state(SLOW6, 5), (rec(3, protocol=SLOW5), None))
-    with pytest.raises(ProtocolMismatch):
-        slow5_activate(initial_state(SLOW5, 5), (None, rec(3, protocol=DELTASQ)))
-
-
 # --- deltasq ----------------------------------------------------------------
 
 def test_deltasq_isolated_returns_zero_pair():
@@ -293,21 +273,14 @@ def test_deltasq_isolated_returns_zero_pair():
 
 def test_deltasq_star_center_bumps_a():
     state = initial_state(DELTASQ, 2)
-    decision = deltasq_activate(state, tuple(rec(x, protocol=DELTASQ) for x in (5, 7, 9)))
-    assert decision == Continue(ProtocolState(DELTASQ, 2, 1, 0))
+    decision = deltasq_activate(state, tuple(rec(x) for x in (5, 7, 9)))
+    assert decision == Continue(ProtocolState(2, 1, 0))
 
 
 @given(slow6_cases())
 def test_deltasq_matches_slow6_on_degree_two(case):
     state, views = case
-    mirrored = ProtocolState(DELTASQ, state.x, state.a, state.b)
-    mirrored_views = tuple(v and v._replace(protocol=DELTASQ) for v in views)
-    expected = slow6_activate(state, views)
-    got = deltasq_activate(mirrored, mirrored_views)
-    if isinstance(expected, Return):
-        assert got == expected
-    else:
-        assert got.state == expected.state._replace(protocol=DELTASQ)
+    assert deltasq_activate(state, views) == slow6_activate(state, views)
 
 
 # --- palettes ---------------------------------------------------------------
