@@ -234,9 +234,11 @@ class XhatColoringObserver:
     """Streaming check that published identifiers stay properly colored.
 
     Feed every step record of one run in order; violations accumulate in the
-    report. A record whose writes and reads carry their ids as arrays (the
-    numpy kernel's) is checked with one comparison: the ids a step's movers
-    read, -1 for an unwritten register, against the ids they wrote.
+    report. A numpy kernel record carries the step's ids as arrays
+    (`movers`, `written`, and `read` with -1 for an unwritten register) and is
+    checked with one comparison of the ids read against the ids written,
+    without building its fields. Any other record replays the published ids
+    of its writes.
     """
 
     def __init__(self, graph: Graph):
@@ -247,18 +249,18 @@ class XhatColoringObserver:
     def __call__(self, record: StepRecord) -> None:
         xhat = self._xhat
         adjacency = self._adjacency
-        writes = record.writes
-        written = getattr(writes, "ids", None)
+        written = getattr(record, "written", None)
         if written is not None:
-            seen = record.reads.ids
+            seen = record.read
             self.report.checked += int(seen.size)
             collide = seen == written[:, None]
             if collide.any():
                 for i, j in zip(*collide.nonzero()):
-                    p, xp = int(writes.nodes[i]), int(written[i])
+                    p, xp = int(record.movers[i]), int(written[i])
                     q = adjacency[p][j]
                     self.report.flag(record.t, p, f"published ids of neighbors {p},{q} both {xp}")
             return
+        writes = record.writes
         for p, state in writes.items():
             xhat[p] = state.x
         checked = 0

@@ -319,6 +319,8 @@ def _encode_decision(decision: Decision) -> list:
 
 def _decode_decision(raw, protocol: str) -> Decision:
     tag, payload = raw
+    if payload is None:
+        raise ValueError(f"decision {tag!r} has a null payload")
     if tag == "ret":
         return Return(_decode_color(payload))
     if tag == "cont":
@@ -401,6 +403,14 @@ def parse_header(line: str) -> TraceHeader:
         raise ValueError(f"malformed trace header: {exc}") from None
 
 
+def _check_nodes(nodes, n: int) -> None:
+    """Reject node indices of a trace line outside the graph's n nodes."""
+    if nodes:
+        low, high = min(nodes), max(nodes)
+        if low < 0 or high >= n:
+            raise ValueError(f"node {low if low < 0 else high} is outside the graph's {n} nodes")
+
+
 def read_trace(path: str) -> Trace:
     """A trace file decoded under its header's protocol; a ValueError names
     the file and the 1-based line of the first malformed line."""
@@ -412,24 +422,27 @@ def read_trace(path: str) -> Trace:
     try:
         header = parse_header(lines[0])
         protocol = header.protocol
+        n = header.graph.node_count
         steps = []
         for lineno, line in enumerate(lines[1:-1], 2):
             raw = json.loads(line)
-            steps.append(
-                StepRecord(
-                    raw["t"],
-                    tuple(raw["act"]),
-                    {int(p): decode_record(rec, protocol) for p, rec in raw["w"].items()},
-                    {
-                        int(p): tuple(decode_record(v, protocol) for v in views)
-                        for p, views in raw["rd"].items()
-                    },
-                    {int(p): _decode_decision(d, protocol) for p, d in raw["dec"].items()},
-                )
+            record = StepRecord(
+                raw["t"],
+                tuple(raw["act"]),
+                {int(p): decode_record(rec, protocol) for p, rec in raw["w"].items()},
+                {
+                    int(p): tuple(decode_record(v, protocol) for v in views)
+                    for p, views in raw["rd"].items()
+                },
+                {int(p): _decode_decision(d, protocol) for p, d in raw["dec"].items()},
             )
+            for nodes in (record.activated, record.writes, record.reads, record.decisions):
+                _check_nodes(nodes, n)
+            steps.append(record)
         lineno = len(lines)
         tail = json.loads(lines[-1])
         outputs = {int(p): _decode_color(c) for p, c in tail["out"].items()}
+        _check_nodes(outputs, n)
         tstar = tail["tstar"]
     except json.JSONDecodeError:
         raise ValueError(f"trace file {path} line {lineno}: not a JSON line") from None

@@ -10,6 +10,11 @@ protocol's transition to all movers at once. `cv_reduce` gets bit lengths
 from `np.frexp`, which is exact below 2**53, and the least color missing
 from a bitmask is a table lookup.
 
+Observers get one `_Record` per step. It holds the step's arrays and builds
+each StepRecord field (activated, writes, reads, decisions) on first read, so
+an observer that reads only its arrays, as `XhatColoringObserver` does,
+builds no ProtocolState. It is not a tuple: observers read fields by name.
+
 `engine.step` stays the one definition of the step; tests/test_kernel.py
 checks this restatement against it. `engine.run` sends a run here only when
 no step records are kept, the graph is large and every identifier lies
@@ -19,13 +24,12 @@ below 2**53 (see `engine.KERNEL_MIN_NODES`).
 from __future__ import annotations
 
 import gc
-from collections.abc import Mapping, Sequence
-from functools import partial
+from functools import cached_property, partial
 from itertools import chain, repeat
 
 import numpy as np
 
-from .engine import Execution, StepRecord
+from .engine import Execution
 from .protocols import FAST5, INFINITE, SLOW5, SLOW6, Continue, ProtocolState, Return, mex
 from .schedulers import RandomSched, Scheduler, random_stream
 
@@ -177,71 +181,37 @@ def _activation_masks(scheduler: Scheduler, n: int):
     return lambda t: masks(scheduler.at(t))
 
 
-# --- step records as views ---------------------------------------------------
+# --- step records -------------------------------------------------------------
 
-class _Activated(Sequence):
-    """A step's activated nodes, ascending, read from its mask on first use."""
+class _Record:
+    """A step's record: `t`, the movers, the ids they wrote (`written`) and
+    read (`read`, (k, 2), -1 for an unwritten register) as arrays, and each
+    StepRecord field, built from the step's arrays on first read."""
 
-    def __init__(self, mask: np.ndarray):
-        self._mask = mask
-        self._nodes: list[int] | None = None
+    def __init__(self, t, protocol, active, movers, pre, view, returns, colors, new):
+        self.t, self.movers, self.written, self.read = t, movers, pre[X], view[X].T
+        self._protocol, self._active, self._pre, self._view = protocol, active, pre, view
+        self._returns, self._colors, self._new = returns, colors, new
 
-    def _list(self) -> list[int]:
-        if self._nodes is None:
-            self._nodes = np.flatnonzero(self._mask).tolist()
-        return self._nodes
+    @cached_property
+    def activated(self) -> tuple[int, ...]:
+        return tuple(np.flatnonzero(self._active).tolist())
 
-    def __getitem__(self, i):
-        return self._list()[i]
+    @cached_property
+    def writes(self) -> dict:
+        return dict(zip(self.movers.tolist(), _states(self._protocol, self._pre)))
 
-    def __len__(self) -> int:
-        return len(self._list())
+    @cached_property
+    def reads(self) -> dict:
+        left, right = (_states(self._protocol, side) for side in self._view.swapaxes(0, 1))
+        return dict(zip(self.movers.tolist(), zip(left, right)))
 
-
-class _PerMover(Mapping):
-    """A step's values per mover, ascending, built on first read.
-
-    `nodes` holds the movers and `ids` the x column of the values as arrays
-    (for the reads, a (k, 2) array with -1 for an unwritten register)."""
-
-    def __init__(self, nodes: np.ndarray, ids: np.ndarray | None, build):
-        self.nodes, self.ids = nodes, ids
-        self._build = build
-        self._dict: dict | None = None
-
-    def _values(self) -> dict:
-        if self._dict is None:
-            self._dict = dict(zip(self.nodes.tolist(), self._build()))
-        return self._dict
-
-    def __getitem__(self, p: int):
-        return self._values()[p]
-
-    def __iter__(self):
-        return iter(self._values())
-
-    def __len__(self) -> int:
-        return len(self.nodes)
-
-    def items(self):
-        return self._values().items()
-
-
-def _record(t, protocol, active, movers, pre, view, returns, colors, new) -> StepRecord:
-    def reads():
-        return list(zip(_states(protocol, view[:, 0]), _states(protocol, view[:, 1])))
-
-    def decisions():
-        return [Return(c) if ret else Continue(s) for ret, c, s
-                in zip(returns.tolist(), _colors(colors), _states(protocol, new))]
-
-    return StepRecord(
-        t,
-        _Activated(active),
-        _PerMover(movers, pre[X], lambda: _states(protocol, pre)),
-        _PerMover(movers, view[X].T, reads),
-        _PerMover(movers, None, decisions),
-    )
+    @cached_property
+    def decisions(self) -> dict:
+        states = _states(self._protocol, self._new)
+        decisions = [Return(c) if ret else Continue(s) for ret, c, s
+                     in zip(self._returns.tolist(), _colors(self._colors), states)]
+        return dict(zip(self.movers.tolist(), decisions))
 
 
 # --- the run -------------------------------------------------------------------
@@ -290,7 +260,7 @@ def run(execution: Execution, scheduler: Scheduler, horizon: int, observers=()) 
         if len(movers):
             tstar = t
         if observers:
-            record = _record(t0 + t, protocol, active, movers, pre, view, returns, colors, new)
+            record = _Record(t0 + t, protocol, active, movers, pre, view, returns, colors, new)
             for observer in observers:
                 observer(record)
         if not (working & support_mask(scheduler.support_after(t + 1))).any():

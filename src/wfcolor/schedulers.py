@@ -14,7 +14,8 @@ Descriptor text forms (used in trace headers and on the command line):
     replay:@<sets>              explicit sets inline, steps split by '|'
 
 Schedule files hold one step per line: space-separated node indices, a blank
-line for an empty set; lines starting with '#' are comments.
+line for an empty set; lines starting with '#' are comments. A descriptor
+formats its replay sets inline, so a trace header never names a file.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ class CrashSched:
 @dataclass(frozen=True)
 class ReplaySched:
     sets: tuple[frozenset[int], ...]
-    source: str | None = None
 
 
 Descriptor = Union[Synchronous, RoundRobin, RandomSched, CrashSched, ReplaySched]
@@ -70,8 +70,6 @@ def format_descriptor(descriptor: Descriptor) -> str:
         pairs = ",".join(f"{p}@{t}" for p, t in descriptor.crash_times)
         return f"crash:{pairs};{format_descriptor(descriptor.base)}"
     if isinstance(descriptor, ReplaySched):
-        if descriptor.source is not None:
-            return f"replay:{descriptor.source}"
         steps = "|".join(",".join(str(p) for p in sorted(s)) for s in descriptor.sets)
         return f"replay:@{steps}"
     raise ValueError(f"unknown descriptor {descriptor!r}")
@@ -116,7 +114,7 @@ def parse_descriptor(text: str) -> Descriptor:
         )
     if text.startswith("replay:"):
         path = text[len("replay:"):]
-        return ReplaySched(load_schedule(path), source=path)
+        return ReplaySched(load_schedule(path))
     raise ValueError(f"unknown scheduler descriptor {text!r}")
 
 

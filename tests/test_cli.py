@@ -61,6 +61,22 @@ def test_run_writes_replayable_trace(tmp_path, capsys, protocol, n):
     assert first.read_bytes() == second.read_bytes()
 
 
+def test_a_file_replay_trace_holds_its_sets_and_outlives_the_file(tmp_path, capsys):
+    sched = tmp_path / "s.sched"
+    sched.write_text("0 1\n\n2 4\n0 1 2 3 4\n1 3\n")
+    traces = {}
+    for name, text in (("file", f"replay:{sched}"), ("inline", "replay:@0,1||2,4|0,1,2,3,4|1,3")):
+        traces[name] = tmp_path / f"{name}.jsonl"
+        code = run_cli("run", "--protocol", "slow5", "--n", "5", "--ids", "chain",
+                       "--sched", text, "--trace", str(traces[name]))
+        assert code == 0
+    assert traces["file"].read_bytes() == traces["inline"].read_bytes()
+    sched.unlink()
+    replayed = tmp_path / "replayed.jsonl"
+    assert run_cli("run", "--from-trace", str(traces["file"]), "--trace", str(replayed)) == 0
+    assert replayed.read_bytes() == traces["file"].read_bytes()
+
+
 def test_from_trace_with_malformed_header_is_usage_error(tmp_path, capsys):
     first = tmp_path / "a.jsonl"
     assert run_cli("run", "--protocol", "slow6", "--n", "4", "--trace", str(first)) == 0

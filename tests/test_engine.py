@@ -294,6 +294,13 @@ def _unknown_decision_tag(raw):
     raw["dec"][p] = ["zzz", payload]
 
 
+def _null_decision(tag):
+    def edit(raw):
+        p = next(iter(raw["dec"]))
+        raw["dec"][p] = [tag, None]
+    return edit
+
+
 def _not_json(lines, i):
     lines[i] = lines[i][:-1]
     return i + 1
@@ -306,6 +313,13 @@ def _final_without_out(lines, i):
     return len(lines)
 
 
+def _final_output_outside_graph(lines, i):
+    raw = json.loads(lines[-1])
+    raw["out"]["9"] = 0
+    lines[-1] = json.dumps(raw)
+    return len(lines)
+
+
 @pytest.mark.parametrize(
     "mangle, problem",
     [
@@ -314,9 +328,18 @@ def _final_without_out(lines, i):
         (_edit_step(_three_field_write), "not enough values to unpack"),
         (_not_json, "not a JSON line"),
         (_edit_step(_unknown_decision_tag), "decision tag 'zzz'"),
+        (_edit_step(lambda raw: raw["dec"].update({"9": ["ret", 0]})), "node 9 is outside"),
+        (_edit_step(_null_decision("cont")), "decision 'cont' has a null payload"),
+        (_edit_step(_null_decision("ret")), "decision 'ret' has a null payload"),
+        (_edit_step(lambda raw: raw["act"].append(9)), "node 9 is outside"),
+        (_edit_step(lambda raw: raw["w"].update({"9": [1, 0, 0, 0]})), "node 9 is outside"),
+        (_edit_step(lambda raw: raw["rd"].update({"9": [None, None]})), "node 9 is outside"),
+        (_final_output_outside_graph, "node 9 is outside"),
     ],
     ids=["step-without-rd", "final-without-out", "3-field-fast5-register", "non-json-step",
-         "unknown-decision-tag"],
+         "unknown-decision-tag", "decision-outside-graph", "null-continue", "null-return",
+         "activation-outside-graph", "write-outside-graph", "read-outside-graph",
+         "output-outside-graph"],
 )
 def test_read_trace_names_the_file_and_line_of_a_malformed_line(tmp_path, mangle, problem):
     g = cycle(4)

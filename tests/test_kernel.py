@@ -174,7 +174,7 @@ def array_record(t, graph, registers, movers, published):
     returns, colors, new = kernel._fast5(pre, view, view[kernel.X] >= 0)
     active = np.zeros(graph.node_count, dtype=bool)
     active[movers] = True
-    return kernel._record(t, "fast5", active, movers, pre, view, returns, colors, new)
+    return kernel._Record(t, "fast5", active, movers, pre, view, returns, colors, new)
 
 
 def test_xhat_observer_flags_colliding_arrays_as_its_loop_does():
@@ -197,3 +197,18 @@ def test_xhat_observer_flags_colliding_arrays_as_its_loop_does():
     ]
     assert arrays.report.checked == loop.report.checked == 10
     assert type(arrays.report.checked) is int
+
+
+def test_the_xhat_observer_builds_no_field_of_a_kernel_record():
+    fields = ("activated", "writes", "reads", "decisions")
+    n = 50
+    graph = cycle(n)
+    execution = new_execution(graph, random_unique_ids(graph, seed=3), "fast5")
+    audit, records = XhatColoringObserver(graph), []
+    tstar = kernel.run(execution, make_scheduler("rand:0.5:1", n), 400, [audit, records.append])
+    assert tstar is not None
+    assert audit.report.checked > 0 and audit.report.passed
+    assert all(not set(fields) & vars(record).keys() for record in records)
+    for record in records:
+        for name in fields:
+            assert getattr(record, name) is getattr(record, name)

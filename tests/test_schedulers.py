@@ -106,7 +106,7 @@ def test_schedule_file_round_trip(tmp_path):
     assert load_schedule(str(path)) == sets
     d = parse_descriptor(f"replay:{path}")
     assert d.sets == sets
-    assert format_descriptor(d) == f"replay:{path}"
+    assert format_descriptor(d) == "replay:@0,2||1"
 
 
 def test_replay_equivalence_for_every_descriptor_family():
