@@ -76,11 +76,16 @@ def write_report(report: AuditReport, path: str) -> None:
 def check_proper_coloring(graph: Graph, outputs: Mapping[int, Color]) -> AuditReport:
     """Flag every edge whose two endpoints returned the same color."""
     report = AuditReport("proper_coloring")
-    for p, q in graph.edges():
-        if p in outputs and q in outputs:
-            report.checked += 1
-            if outputs[p] == outputs[q]:
-                report.flag(None, p, f"nodes {p} and {q} both output {outputs[p]!r}")
+    checked = 0
+    for p, nbrs in enumerate(graph.adjacency):
+        if p in outputs:
+            color = outputs[p]
+            for q in nbrs:
+                if q > p and q in outputs:
+                    checked += 1
+                    if outputs[q] == color:
+                        report.flag(None, p, f"nodes {p} and {q} both output {color!r}")
+    report.checked = checked
     return report
 
 

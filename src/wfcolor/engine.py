@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, IO, Iterable, NamedTuple, Sequence
 
 from .model import Graph, IdAssignment, from_edges
@@ -36,7 +37,7 @@ from .protocols import (
     ProtocolState,
     Return,
     View,
-    initial_state,
+    new_states,
 )
 
 
@@ -90,9 +91,8 @@ class Execution:
         self.ids = ids
         self.protocol = protocol
         self.registers: list[View] = [None] * graph.node_count
-        self.states: list[ProtocolState] = [
-            initial_state(protocol, x) for x in ids.ids
-        ]
+        r = 0 if protocol == FAST5 else None  # initial_state's fields, in one pass
+        self.states: list[ProtocolState] = new_states(zip(ids.ids, repeat(0), repeat(0), repeat(r)))
         self.returned: dict[int, Color] = {}
         self.activations: list[int] = [0] * graph.node_count
         self.working: set[int] = set(range(graph.node_count))
@@ -411,6 +411,21 @@ def _check_nodes(nodes, n: int) -> None:
             raise ValueError(f"node {low if low < 0 else high} is outside the graph's {n} nodes")
 
 
+def _check_step(record: StepRecord, adjacency: tuple[tuple[int, ...], ...]) -> None:
+    """Reject a decoded step line that names a node outside the graph, writes
+    null, or reads other than one register per neighbor (a null view, an
+    unwritten register, is legal)."""
+    for nodes in (record.activated, record.writes, record.reads, record.decisions):
+        _check_nodes(nodes, len(adjacency))
+    for p, state in record.writes.items():
+        if state is None:
+            raise ValueError(f"node {p} writes null")
+    for p, views in record.reads.items():
+        degree = len(adjacency[p])
+        if len(views) != degree:
+            raise ValueError(f"node {p} has {degree} neighbors, its read lists {len(views)}")
+
+
 def read_trace(path: str) -> Trace:
     """A trace file decoded under its header's protocol; a ValueError names
     the file and the 1-based line of the first malformed line."""
@@ -422,7 +437,7 @@ def read_trace(path: str) -> Trace:
     try:
         header = parse_header(lines[0])
         protocol = header.protocol
-        n = header.graph.node_count
+        adjacency = header.graph.adjacency
         steps = []
         for lineno, line in enumerate(lines[1:-1], 2):
             raw = json.loads(line)
@@ -436,13 +451,12 @@ def read_trace(path: str) -> Trace:
                 },
                 {int(p): _decode_decision(d, protocol) for p, d in raw["dec"].items()},
             )
-            for nodes in (record.activated, record.writes, record.reads, record.decisions):
-                _check_nodes(nodes, n)
+            _check_step(record, adjacency)
             steps.append(record)
         lineno = len(lines)
         tail = json.loads(lines[-1])
         outputs = {int(p): _decode_color(c) for p, c in tail["out"].items()}
-        _check_nodes(outputs, n)
+        _check_nodes(outputs, len(adjacency))
         tstar = tail["tstar"]
     except json.JSONDecodeError:
         raise ValueError(f"trace file {path} line {lineno}: not a JSON line") from None

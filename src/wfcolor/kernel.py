@@ -23,14 +23,13 @@ below 2**53 (see `engine.KERNEL_MIN_NODES`).
 
 from __future__ import annotations
 
-import gc
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import chain, repeat
 
 import numpy as np
 
 from .engine import Execution
-from .protocols import FAST5, INFINITE, SLOW5, SLOW6, Continue, ProtocolState, Return, mex
+from .protocols import FAST5, INFINITE, SLOW5, SLOW6, Continue, Return, mex, new_states
 from .schedulers import RandomSched, Scheduler, random_stream
 
 X, A, B, R = range(4)  # the rows of a state or register table
@@ -119,24 +118,13 @@ def _table(states: list) -> np.ndarray:
     return np.array(rows, dtype=np.int64).reshape(-1, 4).T.copy()
 
 
-_new_state = partial(tuple.__new__, ProtocolState)  # ProtocolState(*fields), at C speed
-
-
 def _states(protocol: str, table: np.ndarray) -> list:
     """The ProtocolStates of a table's columns; None where x = -1."""
     x, a, b, r = table.tolist()
     # tolist makes an int object per entry; frozen counters share INFINITE's,
     # 32 bytes less per frozen state
     r = [INFINITE if v == INFINITE else v for v in r] if protocol == FAST5 else repeat(None)
-    # The collections that 10^5 new tuples set off cost a third of a run on a
-    # 10^5-cycle, and tuples of numbers cannot form a cycle.
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        states = list(map(_new_state, zip(x, a, b, r)))
-    finally:
-        if enabled:
-            gc.enable()
+    states = new_states(zip(x, a, b, r))
     for i in np.flatnonzero(table[X] < 0).tolist():
         states[i] = None
     return states

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 UNIQUE = "unique"
@@ -35,20 +36,34 @@ class Graph:
 
     def __post_init__(self) -> None:
         n = self.node_count
-        if n < 1 or len(self.adjacency) != n:
+        adjacency = self.adjacency
+        if n < 1 or len(adjacency) != n:
             raise TopologyError("adjacency must list every node exactly once")
-        for p, nbrs in enumerate(self.adjacency):
-            if any(q < 0 or q >= n for q in nbrs):
-                raise TopologyError(f"node {p} has an out-of-range neighbor")
-            if p in nbrs:
-                raise TopologyError(f"self-loop at node {p}")
-            if list(nbrs) != sorted(set(nbrs)):
-                raise TopologyError(f"adjacency of node {p} must be sorted and duplicate-free")
+        # One pass over the arcs: neighbors strictly increasing, in range, not
+        # p itself, and p among each neighbor's neighbors.
+        for p, nbrs in enumerate(adjacency):
+            last = -1
             for q in nbrs:
-                if p not in self.adjacency[q]:
-                    raise TopologyError(f"edge {p}-{q} is not symmetric")
+                if not last < q < n or q == p or p not in adjacency[q]:
+                    self._reject(p)
+                last = q
         if len(self.depth_first_order()) != n:
             raise TopologyError("graph must be connected")
+
+    def _reject(self, p: int) -> None:
+        """Raise the error that names what is wrong with node p's adjacency,
+        checking range, self-loop, order and symmetry in that order."""
+        n = self.node_count
+        nbrs = self.adjacency[p]
+        if any(q < 0 or q >= n for q in nbrs):
+            raise TopologyError(f"node {p} has an out-of-range neighbor")
+        if p in nbrs:
+            raise TopologyError(f"self-loop at node {p}")
+        if list(nbrs) != sorted(set(nbrs)):
+            raise TopologyError(f"adjacency of node {p} must be sorted and duplicate-free")
+        for q in nbrs:
+            if p not in self.adjacency[q]:
+                raise TopologyError(f"edge {p}-{q} is not symmetric")
 
     def depth_first_order(self) -> list[int]:
         """The nodes reachable from node 0 in depth-first preorder, smallest
@@ -64,13 +79,13 @@ class Graph:
                 stack.extend(reversed(self.adjacency[p]))
         return order
 
-    @property
+    @cached_property
     def is_cycle(self) -> bool:
-        return self.node_count >= 3 and all(len(nbrs) == 2 for nbrs in self.adjacency)
+        return self.node_count >= 3 and set(map(len, self.adjacency)) == {2}
 
-    @property
+    @cached_property
     def max_degree(self) -> int:
-        return max(len(nbrs) for nbrs in self.adjacency)
+        return max(map(len, self.adjacency))
 
     def edges(self) -> list[tuple[int, int]]:
         return [(p, q) for p in range(self.node_count) for q in self.adjacency[p] if p < q]
@@ -80,8 +95,8 @@ def cycle(n: int) -> Graph:
     """The ring on n >= 3 nodes; node i is adjacent to (i +/- 1) mod n."""
     if n < 3:
         raise TopologyError(f"a cycle needs at least 3 nodes, got {n}")
-    adjacency = tuple(tuple(sorted(((i - 1) % n, (i + 1) % n))) for i in range(n))
-    return Graph(n, adjacency)
+    ring = list(range(n))  # one int object per node, shared by its two neighbors' tuples
+    return Graph(n, ((1, n - 1), *zip(ring[:-2], ring[2:]), (0, n - 2)))
 
 
 def from_edges(node_count: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -169,7 +184,7 @@ class IdAssignment:
     def __post_init__(self) -> None:
         if self.kind not in ID_KINDS:
             raise ValueError(f"unknown id kind {self.kind!r}")
-        if any(v < 0 for v in self.ids):
+        if min(self.ids, default=0) < 0:
             raise ValueError("identifiers must be naturals")
         if self.kind == UNIQUE and len(set(self.ids)) != len(self.ids):
             raise ValueError("unique id assignment has duplicate values")
@@ -180,9 +195,14 @@ class IdAssignment:
             raise ValueError(
                 f"assignment covers {len(self.ids)} nodes, graph has {g.node_count}"
             )
-        for p, q in g.edges():
-            if self.ids[p] == self.ids[q]:
-                raise ValueError(f"adjacent nodes {p},{q} share identifier {self.ids[p]}")
+        if self.kind == UNIQUE:  # distinct values differ on every edge
+            return
+        ids = self.ids
+        for p, nbrs in enumerate(g.adjacency):
+            x = ids[p]
+            for q in nbrs:
+                if q > p and ids[q] == x:
+                    raise ValueError(f"adjacent nodes {p},{q} share identifier {x}")
 
 
 def explicit_ids(g: Graph, values: Sequence[int]) -> IdAssignment:

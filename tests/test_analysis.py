@@ -7,6 +7,8 @@ publishes its input, so a node's upward set is its larger neighbor's
 downward.
 """
 
+import random
+
 import pytest
 
 from wfcolor.analysis import (
@@ -25,7 +27,13 @@ from wfcolor.analysis import (
     xhat_coloring_audit,
 )
 from wfcolor.engine import NotTerminated, StepRecord, new_execution, run
-from wfcolor.model import cycle, explicit_ids, monotone_chain_ids, random_unique_ids
+from wfcolor.model import (
+    cycle,
+    explicit_ids,
+    monotone_chain_ids,
+    random_connected_graph,
+    random_unique_ids,
+)
 from wfcolor.protocols import Continue, INFINITE, Return
 from wfcolor.schedulers import make_scheduler
 
@@ -50,6 +58,20 @@ def test_proper_coloring_flags_equal_neighbors():
     report = check_proper_coloring(cycle(4), {0: 3, 1: 3})
     assert not report.passed
     assert len(report.violations) == 1
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_proper_coloring_flags_edges_in_edges_order(seed):
+    g = random_connected_graph(12, 4, seed)
+    rng = random.Random(seed)
+    outputs = {p: rng.randrange(3) for p in range(12) if rng.random() < 0.8}
+    report = check_proper_coloring(g, outputs)
+    edges = [(p, q) for p, q in g.edges() if p in outputs and q in outputs]
+    assert report.checked == len(edges)
+    assert report.violations == [
+        (None, p, f"nodes {p} and {q} both output {outputs[p]!r}")
+        for p, q in edges if outputs[p] == outputs[q]
+    ]
 
 
 def test_palette_checks():

@@ -19,7 +19,7 @@ from wfcolor.engine import (
     write_trace,
 )
 from wfcolor.model import cycle, explicit_ids, monotone_chain_ids, random_connected_graph, random_unique_ids
-from wfcolor.protocols import Continue, ProtocolState, Return, slow6_activate
+from wfcolor.protocols import Continue, ProtocolState, Return, initial_state, slow6_activate
 from wfcolor.schedulers import CrashSched, ReplaySched, Scheduler, Synchronous, make_scheduler
 
 
@@ -34,6 +34,22 @@ def test_new_execution_initial_state():
     assert all(st.a == 0 and st.b == 0 for st in ex.states)
     assert ex.returned == {}
     assert ex.activations == [0, 0, 0]
+
+
+@pytest.mark.parametrize("protocol", ["slow6", "slow5", "fast5", "deltasq"])
+def test_new_execution_states_are_initial_states(protocol):
+    g = cycle(7)
+    ids = random_unique_ids(g, seed=3)
+    ex = new_execution(g, ids, protocol)
+    assert ex.states == [initial_state(protocol, x) for x in ids.ids]
+    assert all(type(state) is ProtocolState for state in ex.states)
+    assert {state.r for state in ex.states} == {0 if protocol == "fast5" else None}
+
+
+def test_new_execution_rejects_an_unknown_protocol():
+    g = cycle(4)
+    with pytest.raises(ValueError, match="unknown protocol 'slow7'"):
+        new_execution(g, monotone_chain_ids(4), "slow7")
 
 
 def test_new_execution_validates_protocol_topology():
@@ -272,6 +288,8 @@ def test_trace_round_trip(tmp_path):
     assert loaded.tstar == trace.tstar
     assert loaded.steps == trace.steps
     assert loaded.activations == trace.activations
+    # an unwritten register reads as null, and decodes to None
+    assert any(None in views for record in loaded.steps for views in record.reads.values())
 
 
 def _edit_step(edit):
@@ -292,6 +310,18 @@ def _three_field_write(raw):
 def _unknown_decision_tag(raw):
     p, (_, payload) = next(iter(raw["dec"].items()))
     raw["dec"][p] = ["zzz", payload]
+
+
+def _null_write(raw):
+    p = next(iter(raw["w"]))
+    raw["w"][p] = None
+
+
+def _read_count(count):
+    def edit(raw):
+        p, views = next(iter(raw["rd"].items()))
+        raw["rd"][p] = (views * 2)[:count]
+    return edit
 
 
 def _null_decision(tag):
@@ -335,11 +365,14 @@ def _final_output_outside_graph(lines, i):
         (_edit_step(lambda raw: raw["w"].update({"9": [1, 0, 0, 0]})), "node 9 is outside"),
         (_edit_step(lambda raw: raw["rd"].update({"9": [None, None]})), "node 9 is outside"),
         (_final_output_outside_graph, "node 9 is outside"),
+        (_edit_step(_null_write), "writes null"),
+        (_edit_step(_read_count(1)), "has 2 neighbors, its read lists 1"),
+        (_edit_step(_read_count(3)), "has 2 neighbors, its read lists 3"),
     ],
     ids=["step-without-rd", "final-without-out", "3-field-fast5-register", "non-json-step",
          "unknown-decision-tag", "decision-outside-graph", "null-continue", "null-return",
          "activation-outside-graph", "write-outside-graph", "read-outside-graph",
-         "output-outside-graph"],
+         "output-outside-graph", "null-write", "one-view-read", "three-view-read"],
 )
 def test_read_trace_names_the_file_and_line_of_a_malformed_line(tmp_path, mangle, problem):
     g = cycle(4)

@@ -192,3 +192,110 @@ def test_random_connected_graph_properties(n, delta, seed):
     assert g.max_degree <= delta
     assert g.node_count == n
     assert random_connected_graph(n, delta, seed).adjacency == g.adjacency
+
+
+# --- Graph validation against its per-node rules -------------------------------
+
+def _per_node_rules(n, adjacency):
+    """The message of the first rule a Graph(n, adjacency) breaks, or None:
+    the checks node by node, each node's in the order range, self-loop,
+    order, symmetry, and connectivity last."""
+    if n < 1 or len(adjacency) != n:
+        return "adjacency must list every node exactly once"
+    for p, nbrs in enumerate(adjacency):
+        if any(q < 0 or q >= n for q in nbrs):
+            return f"node {p} has an out-of-range neighbor"
+        if p in nbrs:
+            return f"self-loop at node {p}"
+        if list(nbrs) != sorted(set(nbrs)):
+            return f"adjacency of node {p} must be sorted and duplicate-free"
+        for q in nbrs:
+            if p not in adjacency[q]:
+                return f"edge {p}-{q} is not symmetric"
+    seen, stack = {0}, [0]
+    while stack:
+        for q in adjacency[stack.pop()]:
+            if q not in seen:
+                seen.add(q)
+                stack.append(q)
+    return None if len(seen) == n else "graph must be connected"
+
+
+@st.composite
+def adjacencies(draw):
+    """A node count and an adjacency: a random simple graph (often
+    disconnected), then up to three edits that each break one rule."""
+    n = draw(st.integers(1, 7))
+    nodes = st.integers(0, n - 1)
+    nbrs = [set() for _ in range(n)]
+    for u, v in draw(st.lists(st.tuples(nodes, nodes), max_size=2 * n)):
+        if u != v:
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+    adjacency = [sorted(s) for s in nbrs]
+    for _ in range(draw(st.integers(0, 3))):
+        p = draw(nodes)
+        row = adjacency[p]
+        at = draw(st.integers(0, len(row)))
+        edit = draw(st.sampled_from(["range", "self-loop", "unsorted", "duplicate", "asymmetric"]))
+        if edit == "range":
+            row.insert(at, draw(st.sampled_from([-2, -1, n, n + 1])))
+        elif edit == "self-loop":
+            row.insert(at, p)
+        elif edit == "unsorted":
+            row.reverse()
+        elif row and edit == "duplicate":
+            row.insert(at, row[min(at, len(row) - 1)])
+        elif row:
+            row.pop(min(at, len(row) - 1))
+    count = draw(st.sampled_from([n, n, n, n - 1, n + 1]))
+    return count, tuple(map(tuple, adjacency))
+
+
+@given(adjacencies())
+def test_graph_accepts_and_rejects_as_its_per_node_rules(case):
+    n, adjacency = case
+    expected = _per_node_rules(n, adjacency)
+    if expected is None:
+        assert Graph(n, adjacency).adjacency == adjacency
+    else:
+        with pytest.raises(TopologyError) as excinfo:
+            Graph(n, adjacency)
+        assert str(excinfo.value) == expected
+
+
+def test_cycle_adjacency_is_the_sorted_ring_neighbors():
+    for n in range(3, 201):
+        assert cycle(n).adjacency == tuple(
+            tuple(sorted(((i - 1) % n, (i + 1) % n))) for i in range(n)
+        ), n
+
+
+def test_is_cycle_and_max_degree():
+    assert cycle(5).is_cycle and cycle(5).max_degree == 2
+    path = from_edges(3, [(0, 1), (1, 2)])
+    assert not path.is_cycle and path.max_degree == 2
+    star = from_edges(4, [(0, 1), (0, 2), (0, 3)])
+    assert not star.is_cycle and star.max_degree == 3
+
+
+@given(st.integers(min_value=4, max_value=12), st.integers(min_value=0, max_value=30),
+       st.data())
+def test_validate_for_names_the_first_shared_edge_in_edges_order(n, seed, data):
+    g = random_connected_graph(n, 3, seed)
+    values = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    ids = IdAssignment(tuple(values), model.PROPER)
+    clash = next(((p, q) for p, q in g.edges() if values[p] == values[q]), None)
+    if clash is None:
+        ids.validate_for(g)
+    else:
+        p, q = clash
+        with pytest.raises(ValueError) as excinfo:
+            ids.validate_for(g)
+        assert str(excinfo.value) == f"adjacent nodes {p},{q} share identifier {values[p]}"
+
+
+def test_id_assignment_rejects_negative_ids():
+    with pytest.raises(ValueError, match="identifiers must be naturals"):
+        IdAssignment((3, -1, 2), model.PROPER)
+    assert IdAssignment((), model.UNIQUE).ids == ()
