@@ -18,6 +18,7 @@ step records.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterator, Mapping, NamedTuple
 
 from .engine import NotTerminated, StepRecord, Trace, _dump
@@ -90,12 +91,26 @@ def check_proper_coloring(graph: Graph, outputs: Mapping[int, Color]) -> AuditRe
 
 
 def check_palette(outputs: Mapping[int, Color], protocol: str, delta: int = 2) -> AuditReport:
-    """Flag every output outside the protocol's declared palette."""
+    """Flag every output outside the protocol's declared palette, in node
+    order.
+
+    Each distinct color is tested once when every color is an int or a tuple
+    of ints: equal values of other types need not share a verdict (1 and 1.0,
+    or (1, 1) and (1.0, 1)), so then each output is tested on its own.
+    """
     report = AuditReport("palette")
-    for p, color in sorted(outputs.items()):
-        report.checked += 1
-        if not palette_ok(protocol, color, delta):
-            report.flag(None, p, f"output {color!r} outside the {protocol} palette")
+    report.checked = len(outputs)
+    colors = outputs.values()
+    kinds = set(map(type, colors))
+    if kinds == {tuple}:
+        kinds = set(map(type, chain.from_iterable(colors)))
+    if kinds <= {int, bool}:
+        bad = {color for color in set(colors) if not palette_ok(protocol, color, delta)}
+        flagged = [p for p, color in outputs.items() if color in bad] if bad else []
+    else:
+        flagged = [p for p, color in outputs.items() if not palette_ok(protocol, color, delta)]
+    for p in sorted(flagged):
+        report.flag(None, p, f"output {outputs[p]!r} outside the {protocol} palette")
     return report
 
 

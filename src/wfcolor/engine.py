@@ -412,11 +412,19 @@ def _check_nodes(nodes, n: int) -> None:
 
 
 def _check_step(record: StepRecord, adjacency: tuple[tuple[int, ...], ...]) -> None:
-    """Reject a decoded step line that names a node outside the graph, writes
-    null, or reads other than one register per neighbor (a null view, an
-    unwritten register, is legal)."""
+    """Reject a decoded step line that names a node outside the graph, whose
+    w, rd and dec name different movers or a mover missing from act, that
+    writes null, or that reads other than one register per neighbor (a null
+    view, an unwritten register, is legal)."""
     for nodes in (record.activated, record.writes, record.reads, record.decisions):
         _check_nodes(nodes, len(adjacency))
+    movers = record.writes.keys()
+    if movers != record.reads.keys() or movers != record.decisions.keys():
+        odd = (movers ^ record.reads.keys()) | (movers ^ record.decisions.keys())
+        raise ValueError(f"node {min(odd)} is not named in all of w, rd and dec")
+    stray = movers - record.activated
+    if stray:
+        raise ValueError(f"node {min(stray)} moves but is not in act")
     for p, state in record.writes.items():
         if state is None:
             raise ValueError(f"node {p} writes null")

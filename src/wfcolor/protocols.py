@@ -218,11 +218,20 @@ ACTIVATE = {
 
 
 def palette_ok(protocol: str, color: Color, delta: int = 2) -> bool:
-    """Whether an output color lies in the protocol's declared palette."""
-    if protocol == SLOW6:
-        return isinstance(color, tuple) and color[0] + color[1] <= 2
-    if protocol == DELTASQ:
-        return isinstance(color, tuple) and color[0] + color[1] <= delta
+    """Whether an output color lies in the protocol's declared palette: a
+    pair (a, b) of naturals with a + b <= 2 (slow6) or <= delta (deltasq),
+    or an int 0..4 (slow5, fast5)."""
+    if protocol in (SLOW6, DELTASQ):
+        if not (isinstance(color, tuple) and len(color) == 2):
+            return False
+        a, b = color
+        return (
+            isinstance(a, int)
+            and isinstance(b, int)
+            and 0 <= a
+            and 0 <= b
+            and a + b <= (2 if protocol == SLOW6 else delta)
+        )
     if protocol in (SLOW5, FAST5):
         return isinstance(color, int) and 0 <= color <= 4
     raise ValueError(f"unknown protocol {protocol!r}")

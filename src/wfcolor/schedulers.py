@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence, Union
 
-from .engine import new_execution, step
+from .engine import KERNEL_MIN_NODES, new_execution, step
 from .model import Graph, IdAssignment
 from .protocols import ACTIVATE, Continue, Return, palette_ok
 
@@ -183,9 +183,12 @@ class Scheduler:
         if isinstance(d, RoundRobin):
             return frozenset((t % self.node_count,))
         if isinstance(d, RandomSched):
-            draw = random_stream(d.seed, t).random
-            p = d.p_act
-            return frozenset([i for i in range(self.node_count) if draw() < p])
+            n, p = self.node_count, d.p_act
+            draws = _draws(d.seed, t, n) if n < KERNEL_MIN_NODES else None
+            if draws is None:
+                draw = random_stream(d.seed, t).random
+                return frozenset([i for i in range(n) if draw() < p])
+            return frozenset([i for i in range(n) if draws[i] < p])
         if isinstance(d, CrashSched):
             alive = self._base.at(t)
             dead = {node for node, start in d.crash_times if t >= start}
@@ -210,6 +213,50 @@ def random_stream(seed: int, t: int) -> random.Random:
     """The generator whose draws, one per node in index order, decide
     sigma(t) of rand:<p>:<seed>."""
     return random.Random(f"rand:{seed}:{t}")
+
+
+# (seed, t) -> the first draws of random_stream(seed, t), or () after the
+# pair's first use; see _draws
+_DRAWS: dict[tuple[int, int], tuple[float, ...]] = {}
+_DRAWS_CAP = 1 << 16
+_held = 0  # the entries in _DRAWS plus the draws they hold
+
+
+def _draws(seed: int, t: int, n: int) -> tuple[float, ...] | None:
+    """At least the first n draws of random_stream(seed, t), or None the
+    first time the pair is asked for: the caller then draws from the stream.
+
+    Seeding a stream from its string costs about 10 us, more than drawing a
+    small graph's n floats. Sweeps over id sets and sizes reuse the same few
+    (seed, t) pairs, so from a pair's second use on its draws come from this
+    memo. A first use only marks the pair: `wfcolor sweep` reseeds every
+    trial, and keeping the draws of pairs that never recur cost it about 9%.
+    An entry is a function of its key alone, so every caller reads what it
+    would have drawn. An entry asked for more draws than it holds is drawn
+    again from a fresh stream: the draws are a prefix, so the longer tuple
+    replaces it. The memo holds at most _DRAWS_CAP = 2**16 entries and
+    draws together and is cleared when it would pass that; its worst case,
+    marks only, is about 8 MB (2.5 MB at 16 draws per entry). Scheduler.at
+    asks only for fewer than KERNEL_MIN_NODES nodes, where n draws cost
+    more than the seed.
+    """
+    global _held
+    key = (seed, t)
+    draws = _DRAWS.get(key)
+    if draws is None:
+        fresh, grow = (), 1
+    elif len(draws) >= n:
+        return draws
+    else:
+        draw = random_stream(seed, t).random
+        fresh = tuple([draw() for _ in range(n)])
+        grow = n - len(draws)
+    _held += grow
+    if _held > _DRAWS_CAP:
+        _DRAWS.clear()
+        _held = 1 + len(fresh)
+    _DRAWS[key] = fresh
+    return fresh or None
 
 
 def make_scheduler(descriptor: Descriptor | str, node_count: int) -> Scheduler:

@@ -7,9 +7,11 @@ publishes its input, so a node's upward set is its larger neighbor's
 downward.
 """
 
+import json
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from wfcolor.analysis import (
     ab_exclusion_audit,
@@ -26,7 +28,7 @@ from wfcolor.analysis import (
     stop_rule_audit,
     xhat_coloring_audit,
 )
-from wfcolor.engine import NotTerminated, StepRecord, new_execution, run
+from wfcolor.engine import NotTerminated, StepRecord, new_execution, read_trace, run, write_trace
 from wfcolor.model import (
     cycle,
     explicit_ids,
@@ -34,7 +36,7 @@ from wfcolor.model import (
     random_connected_graph,
     random_unique_ids,
 )
-from wfcolor.protocols import Continue, INFINITE, Return
+from wfcolor.protocols import Continue, INFINITE, PROTOCOLS, Return, palette_ok
 from wfcolor.schedulers import make_scheduler
 
 
@@ -78,6 +80,46 @@ def test_palette_checks():
     assert not check_palette({0: 5}, "slow5").passed
     assert check_palette({0: (2, 0)}, "slow6").passed
     assert not check_palette({0: (2, 2)}, "deltasq", delta=3).passed
+
+
+def test_palette_flags_a_tampered_output(tmp_path):
+    path = tmp_path / "trace.jsonl"
+    write_trace(triangle_trace(), str(path))
+    lines = path.read_text(encoding="utf-8").splitlines()
+    final = json.loads(lines[-1])
+    final["out"]["1"] = [-1, 3]
+    lines[-1] = json.dumps(final)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    report = check_palette(read_trace(str(path)).outputs, "slow6")
+    assert report.violations == [(None, 1, "output (-1, 3) outside the slow6 palette")]
+
+
+_colors = st.one_of(
+    st.integers(-2, 6),
+    st.booleans(),
+    st.sampled_from([1.0, 2.5, None, "1"]),
+    st.tuples(st.integers(-2, 4), st.integers(-2, 4)),
+    st.tuples(st.sampled_from([0, 1, 1.0, True]), st.sampled_from([0, 1, 1.0, False])),
+    st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)),
+    st.lists(st.integers(0, 2), min_size=2, max_size=2),
+)
+
+
+@given(
+    st.dictionaries(st.integers(0, 30), _colors, max_size=12),
+    st.sampled_from(PROTOCOLS),
+    st.integers(0, 4),
+)
+def test_palette_flags_what_palette_ok_rejects_in_node_order(outputs, protocol, delta):
+    # equal colors of different types (1 and 1.0, (1, 1) and (1.0, 1)) are
+    # tested on their own
+    report = check_palette(outputs, protocol, delta)
+    assert report.checked == len(outputs)
+    assert report.violations == [
+        (None, p, f"output {outputs[p]!r} outside the {protocol} palette")
+        for p in sorted(outputs)
+        if not palette_ok(protocol, outputs[p], delta)
+    ]
 
 
 def test_round_complexity_triangle():

@@ -331,6 +331,16 @@ def _null_decision(tag):
     return edit
 
 
+def _drop_mover(field):
+    def edit(raw):
+        p = next(iter(raw["w"]))
+        if field == "act":
+            raw["act"].remove(int(p))
+        else:
+            del raw[field][p]
+    return edit
+
+
 def _not_json(lines, i):
     lines[i] = lines[i][:-1]
     return i + 1
@@ -368,11 +378,17 @@ def _final_output_outside_graph(lines, i):
         (_edit_step(_null_write), "writes null"),
         (_edit_step(_read_count(1)), "has 2 neighbors, its read lists 1"),
         (_edit_step(_read_count(3)), "has 2 neighbors, its read lists 3"),
+        (_edit_step(_drop_mover("w")), "is not named in all of w, rd and dec"),
+        (_edit_step(_drop_mover("rd")), "is not named in all of w, rd and dec"),
+        (_edit_step(_drop_mover("dec")), "is not named in all of w, rd and dec"),
+        (_edit_step(_drop_mover("act")), "moves but is not in act"),
     ],
     ids=["step-without-rd", "final-without-out", "3-field-fast5-register", "non-json-step",
          "unknown-decision-tag", "decision-outside-graph", "null-continue", "null-return",
          "activation-outside-graph", "write-outside-graph", "read-outside-graph",
-         "output-outside-graph", "null-write", "one-view-read", "three-view-read"],
+         "output-outside-graph", "null-write", "one-view-read", "three-view-read",
+         "mover-without-write", "mover-without-read", "mover-without-decision",
+         "mover-not-activated"],
 )
 def test_read_trace_names_the_file_and_line_of_a_malformed_line(tmp_path, mangle, problem):
     g = cycle(4)

@@ -292,3 +292,21 @@ def test_palette_membership():
     assert not palette_ok(SLOW5, 5)
     assert palette_ok(DELTASQ, (2, 1), delta=3)
     assert not palette_ok(DELTASQ, (2, 2), delta=3)
+
+
+@pytest.mark.parametrize(
+    "protocol, color, delta",
+    [
+        (SLOW6, (-1, 3), 2),
+        (SLOW6, (0, 0, 7), 2),
+        (SLOW6, (1,), 2),
+        (SLOW6, (1.0, 0), 2),
+        (SLOW6, [1, 0], 2),
+        (DELTASQ, (-4, 5), 2),
+        (DELTASQ, (0, 0, 0), 3),
+        (SLOW5, -1, 2),
+        (FAST5, 2.0, 2),
+    ],
+)
+def test_palette_rejects_colors_that_are_not_its_naturals(protocol, color, delta):
+    assert not palette_ok(protocol, color, delta)

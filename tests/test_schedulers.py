@@ -1,7 +1,7 @@
 import pytest
 
-from wfcolor import protocols
-from wfcolor.engine import new_execution, run
+from wfcolor import protocols, schedulers
+from wfcolor.engine import KERNEL_MIN_NODES, new_execution, run
 from wfcolor.model import (
     cycle,
     explicit_ids,
@@ -19,6 +19,7 @@ from wfcolor.schedulers import (
     make_scheduler,
     materialize,
     parse_descriptor,
+    random_stream,
     save_schedule,
     worst_case_search,
 )
@@ -61,6 +62,86 @@ def test_random_scheduler_is_pure():
 def test_random_scheduler_full_probability():
     s = make_scheduler("rand:1.0:0", 4)
     assert s.at(7) == frozenset(range(4))
+
+
+@pytest.fixture
+def fresh_draws(monkeypatch):
+    """An empty rand: draws memo for one test."""
+    monkeypatch.setattr(schedulers, "_DRAWS", {})
+    monkeypatch.setattr(schedulers, "_held", 0)
+
+
+def _defined_rand_set(p, seed, t, n, dead=()):
+    """sigma(t) of rand:<p>:<seed> on n nodes, from the stream's definition."""
+    draw = random_stream(seed, t).random
+    return frozenset(i for i in range(n) if draw() < p) - set(dead)
+
+
+def _held_by(memo):
+    """What _draws counts against its cap: the entries plus their draws."""
+    return len(memo) + sum(map(len, memo.values()))
+
+
+@pytest.mark.usefixtures("fresh_draws")
+def test_rand_sets_follow_the_stream_as_node_counts_grow_and_shrink():
+    # each (seed, t) is asked for under four p at each n: the first use only
+    # marks it, later ones read the memo, a larger n re-draws the entry and a
+    # smaller one reads its prefix; KERNEL_MIN_NODES nodes bypass the memo
+    sizes = [1, 3, 5, 16, 200, KERNEL_MIN_NODES, 16, 5, 3, 1]
+    for n in sizes:
+        for p in (0.1, 0.5, 0.9, 1.0):
+            for seed in (0, 7, 2**40):
+                for t in (1, 2, 13, 400):
+                    got = make_scheduler(f"rand:{p}:{seed}", n).at(t)
+                    assert got == _defined_rand_set(p, seed, t, n)
+            crashed = make_scheduler(f"crash:0@3;rand:{p}:4", n)
+            for t in (1, 3, 9):
+                dead = (0,) if t >= 3 else ()
+                assert crashed.at(t) == _defined_rand_set(p, 4, t, n, dead)
+    assert len(schedulers._DRAWS[(0, 1)]) == 200
+    assert schedulers._held == _held_by(schedulers._DRAWS)
+
+
+@pytest.mark.usefixtures("fresh_draws")
+def test_a_rand_descriptor_seeds_each_step_in_two_runs_at_most(monkeypatch):
+    # the first run marks each (seed, t), the second keeps its draws, and
+    # every later run reads them
+    calls = []
+
+    def counted(seed, t):
+        calls.append((seed, t))
+        return random_stream(seed, t)
+
+    monkeypatch.setattr(schedulers, "random_stream", counted)
+    g = cycle(6)
+    ids = random_unique_ids(g, seed=2)
+    traces, seeded = [], []
+    for _ in range(3):
+        ex = new_execution(g, ids, "slow6")
+        traces.append(run(ex, make_scheduler("rand:0.4:9", 6), 400, keep_steps=False))
+        seeded.append(sorted(calls))
+        calls.clear()
+    assert seeded[0] == seeded[1] == [(9, t) for t in range(1, len(seeded[0]) + 1)]
+    assert seeded[0] and not seeded[2]
+    assert traces[0].outputs == traces[1].outputs == traces[2].outputs
+    assert traces[0].activations == traces[1].activations == traces[2].activations
+
+
+@pytest.mark.usefixtures("fresh_draws")
+def test_the_draws_memo_stays_under_its_cap():
+    n = 16
+    kept = schedulers._DRAWS_CAP // (n + 1)  # entries of 16 draws that fit
+    for seed in range(kept + 50):
+        s = make_scheduler(f"rand:0.5:{seed}", n)
+        for _ in range(2):
+            assert s.at(1) == _defined_rand_set(0.5, seed, 1, n)
+            assert schedulers._held <= schedulers._DRAWS_CAP
+    assert schedulers._held == _held_by(schedulers._DRAWS)
+    assert len(schedulers._DRAWS) == 50  # cleared once, when the cap was passed
+    for seed in range(schedulers._DRAWS_CAP + 10):  # first uses only mark
+        schedulers._draws(seed, 2, n)
+        assert schedulers._held <= schedulers._DRAWS_CAP
+    assert schedulers._held == _held_by(schedulers._DRAWS)
 
 
 def test_invalid_probability_rejected():
