@@ -8,7 +8,10 @@ along decreasing ones) are recomputed here from that bookkeeping rather than
 tracked inside the protocols, which keeps the transition functions minimal.
 One replay yields a row per working activation, and the slow6 lemma audits
 check only those rows: between two of its moves, a node's published
-identifier and heard-of sets do not change.
+identifier and heard-of sets do not change. The replay holds each heard-of
+set as an int bitmask over the ranks of the distinct published identifiers,
+so that a union is one `|` and a size, a least or greatest element or an
+inclusion test is one int operation; `ab_sets` turns masks back into sets.
 
 The audit of the published-identifier coloring is also available as a
 streaming observer so that large runs can be checked without retaining their
@@ -123,44 +126,65 @@ def round_complexity(trace: Trace) -> int:
 
 # --- published-value bookkeeping -------------------------------------------
 
-_Sets = tuple[frozenset[int], frozenset[int]]  # the heard-of sets A and B
+_Masks = tuple[int, int]  # the heard-of sets A and B as rank bitmasks
+_Row = tuple[StepRecord, int, int, _Masks, _Masks, int, int]
 
 
-def _moves(trace: Trace) -> Iterator[tuple[StepRecord, int, int, _Sets, _Sets, int, int]]:
+def _moves(trace: Trace) -> tuple[list[int], Iterator[_Row]]:
     """Replay a trace's heard-of sets, one row per working activation.
 
     The movers of a step publish their ids and sets; then each rebuilds its
     sets from the published ones of its larger (resp. smaller) neighbors. A
     row is (record, p, the id x p published, p's sets before and after the
     step, how many neighbors had published ids above x and below x).
+
+    Returns the sorted distinct published ids, values, with the rows. A set
+    is an int bitmask over the R ranks of values: A holds rank k as bit
+    R-1-k and B as bit k, so that neither spends bits on the ranks on the
+    other side of its owner's. Then |A| is A.bit_count(), min(A) is
+    values[R - A.bit_length()], max(B) is values[B.bit_length() - 1], and
+    A0 <= A is not A0 & ~A.
     """
-    n = trace.header.graph.node_count
+    values = sorted({state.x for record in trace.steps for state in record.writes.values()})
+    return values, _replay(trace, values)
+
+
+def _replay(trace: Trace, values: list[int]) -> Iterator[_Row]:
+    """_moves' rows. A rank's bit is built where it is used, not kept per
+    node: on 10^4 nodes, that many ints of over 512 bytes fragment the heap."""
     adjacency = trace.header.graph.adjacency
-    empty: frozenset[int] = frozenset()
-    xhat: list[int | None] = [None] * n
-    local = [(empty, empty)] * n  # the sets each node rebuilt at its latest move
-    published = [(empty, empty)] * n  # the sets it wrote at that move
+    rank = {x: k for k, x in enumerate(values)}
+    top = len(values) - 1
+    n = len(adjacency)
+    ranks: list[int | None] = [None] * n  # the rank of each node's published id
+    local_a = [0] * n  # the sets each node rebuilt at its latest move
+    local_b = [0] * n
+    published_a = [0] * n  # the sets it wrote at that move
+    published_b = [0] * n
     for record in trace.steps:
         moved = record.decisions.keys()
+        writes = record.writes
         for p in moved:
-            xhat[p] = record.writes[p].x
-            published[p] = local[p]
+            ranks[p] = rank[writes[p].x]
+            published_a[p] = local_a[p]
+            published_b[p] = local_b[p]
         for p in moved:
-            xp = xhat[p]
-            above = below = empty
-            up = down = 0
+            rp = ranks[p]
+            above = below = up = down = 0
             for q in adjacency[p]:
-                xq = xhat[q]
-                if xq is None:
+                rq = ranks[q]
+                if rq is None:
                     continue
-                if xq > xp:
+                if rq > rp:
                     up += 1
-                    above = above | published[q][0] | {xq}
-                elif xq < xp:
+                    above |= published_a[q] | 1 << (top - rq)
+                elif rq < rp:
                     down += 1
-                    below = below | published[q][1] | {xq}
-            local[p] = (above, below)
-            yield record, p, xp, published[p], local[p], up, down
+                    below |= published_b[q] | 1 << rq
+            local_a[p] = above
+            local_b[p] = below
+            yield (record, p, values[rp], (published_a[p], published_b[p]),
+                   (above, below), up, down)
 
 
 def ab_sets(trace: Trace, node: int, t: int) -> ABSets:
@@ -169,13 +193,19 @@ def ab_sets(trace: Trace, node: int, t: int) -> ABSets:
         raise ValueError(f"time {t} outside the recorded 0..{len(trace.steps)} range")
     if not 0 <= node < trace.header.graph.node_count:
         raise ValueError(f"unknown node {node}")
-    result = ABSets(frozenset(), frozenset())
-    for record, p, _, _, after, _, _ in _moves(trace):
+    values, rows = _moves(trace)
+    masks = (0, 0)
+    for record, p, _, _, after, _, _ in rows:
         if record.t > t:
             break
         if p == node:
-            result = ABSets(*after)
-    return result
+            masks = after
+    top = len(values) - 1
+    A, B = masks
+    return ABSets(
+        frozenset(x for k, x in enumerate(values) if A >> (top - k) & 1),
+        frozenset(x for k, x in enumerate(values) if B >> k & 1),
+    )
 
 
 def _require_protocol(trace: Trace, protocol: str, audit: str) -> None:
@@ -189,19 +219,19 @@ def parity_audit(trace: Trace) -> AuditReport:
     their heard-of set on that side."""
     _require_protocol(trace, SLOW6, "parity")
     report = AuditReport("parity")
-    for record, p, _, _, (A, B), n_up, n_down in _moves(trace):
+    for record, p, _, _, (A, B), n_up, n_down in _moves(trace)[1]:
         decision = record.decisions[p]
         if not isinstance(decision, Continue):
             continue
         state = decision.state
         if n_up <= 1:
             report.checked += 1
-            if state.a % 2 != len(A) % 2:
-                report.flag(record.t, p, f"a={state.a} but |A|={len(A)}")
+            if state.a % 2 != A.bit_count() % 2:
+                report.flag(record.t, p, f"a={state.a} but |A|={A.bit_count()}")
         if n_down <= 1:
             report.checked += 1
-            if state.b % 2 != len(B) % 2:
-                report.flag(record.t, p, f"b={state.b} but |B|={len(B)}")
+            if state.b % 2 != B.bit_count() % 2:
+                report.flag(record.t, p, f"b={state.b} but |B|={B.bit_count()}")
     return report
 
 
@@ -212,11 +242,13 @@ def ab_exclusion_audit(trace: Trace) -> AuditReport:
     _require_protocol(trace, SLOW6, "ab_exclusion")
     check_b = trace.header.ids.kind == UNIQUE
     report = AuditReport("ab_exclusion")
-    for record, p, xp, _, (A, B), _, _ in _moves(trace):
+    values, rows = _moves(trace)
+    count = len(values)
+    for record, p, xp, _, (A, B), _, _ in rows:
         report.checked += 1
-        if A and min(A) <= xp:
+        if A and values[count - A.bit_length()] <= xp:
             report.flag(record.t, p, f"A contains a value <= published id {xp}")
-        if check_b and B and max(B) >= xp:
+        if check_b and B and values[B.bit_length() - 1] >= xp:
             report.flag(record.t, p, f"B contains a value >= published id {xp}")
     return report
 
@@ -225,11 +257,11 @@ def ab_growth_audit(trace: Trace) -> AuditReport:
     """Heard-of sets only ever grow, inclusion-wise."""
     _require_protocol(trace, SLOW6, "ab_growth")
     report = AuditReport("ab_growth")
-    for record, p, _, (A0, B0), (A, B), _, _ in _moves(trace):
+    for record, p, _, (A0, B0), (A, B), _, _ in _moves(trace)[1]:
         report.checked += 1
-        if not A0 <= A:
+        if A0 & ~A:
             report.flag(record.t, p, "A lost elements")
-        if not B0 <= B:
+        if B0 & ~B:
             report.flag(record.t, p, "B lost elements")
     return report
 

@@ -1,8 +1,8 @@
 """Command-line harness for reproducible coloring experiments.
 
-Subcommands: run, sweep, mc, worstcase, lemmas. Exit codes are stable across
-subcommands: 0 on success, 1 on any property violation, counterexample, or
-non-termination, 2 on usage or configuration errors.
+Subcommands: run, sweep, mc, worstcase, audit, lemmas. Exit codes are stable
+across subcommands: 0 on success, 1 on any property violation,
+counterexample, or non-termination, 2 on usage or configuration errors.
 
 Options may come from a line-oriented key=value config file (--config);
 explicit command-line flags override file values. The WFC_SEED environment
@@ -178,6 +178,41 @@ def _outcome_audits(
     ] + [observer.report for observer in observers]
 
 
+_STEP_AUDITS = {
+    SLOW6: (
+        analysis.activation_bound_audit,
+        analysis.parity_audit,
+        analysis.ab_exclusion_audit,
+        analysis.ab_growth_audit,
+    ),
+    SLOW5: (analysis.activation_bound_audit, analysis.stop_rule_audit),
+}
+
+
+def _step_audits(trace: engine.Trace) -> list[analysis.AuditReport]:
+    """The audits of a trace's kept steps that its protocol has."""
+    return [audit(trace) for audit in _STEP_AUDITS.get(trace.header.protocol, ())]
+
+
+def _print_outcome(trace: engine.Trace, reports: list[analysis.AuditReport]) -> int:
+    """Print a trace's outcome and audits; OK when it terminated and every
+    audit passed."""
+    if trace.terminated:
+        print(f"terminated: yes (tstar={trace.tstar})")
+        print(f"round_complexity: {analysis.round_complexity(trace)}")
+    else:
+        print(f"terminated: no (horizon={trace.header.horizon})")
+    print(f"max_activations: {max(trace.activations.values(), default=0)}")
+    print(f"returned: {len(trace.outputs)}/{trace.header.graph.node_count}")
+    for report in reports:
+        print(f"audit {report.summary()}")
+        for t, node, detail in report.violations[:10]:
+            print(f"  violation t={t} node={node}: {detail}")
+    if not trace.terminated or any(not r.passed for r in reports):
+        return VIOLATION
+    return OK
+
+
 def cmd_run(cfg: ExperimentConfig, from_trace: str | None = None) -> int:
     if from_trace is not None:
         header = _read_header(from_trace)
@@ -206,37 +241,27 @@ def cmd_run(cfg: ExperimentConfig, from_trace: str | None = None) -> int:
         )
         observers.append(writer)
 
-    keep_steps = protocol in (SLOW6, SLOW5)
+    keep_steps = protocol in _STEP_AUDITS
     trace = engine.run(execution, scheduler, horizon, observers, keep_steps, seed)
     if writer is not None:
         writer.finish(trace)
         trace_fh.close()
+    return _print_outcome(
+        trace, _outcome_audits(graph, protocol, trace, audit_observers) + _step_audits(trace)
+    )
 
-    reports = _outcome_audits(graph, protocol, trace, audit_observers)
-    if protocol in (SLOW6, SLOW5):
-        reports.append(analysis.activation_bound_audit(trace))
-    if protocol == SLOW6:
-        reports.append(analysis.parity_audit(trace))
-        reports.append(analysis.ab_exclusion_audit(trace))
-        reports.append(analysis.ab_growth_audit(trace))
-    if protocol == SLOW5:
-        reports.append(analysis.stop_rule_audit(trace))
 
-    max_activations = max(trace.activations.values(), default=0)
-    if trace.terminated:
-        print(f"terminated: yes (tstar={trace.tstar})")
-        print(f"round_complexity: {analysis.round_complexity(trace)}")
-    else:
-        print(f"terminated: no (horizon={horizon})")
-    print(f"max_activations: {max_activations}")
-    print(f"returned: {len(trace.outputs)}/{graph.node_count}")
-    for report in reports:
-        print(f"audit {report.summary()}")
-        for t, node, detail in report.violations[:10]:
-            print(f"  violation t={t} node={node}: {detail}")
-    if not trace.terminated or any(not r.passed for r in reports):
-        return VIOLATION
-    return OK
+def cmd_audit(path: str) -> int:
+    """Audit a stored trace as run audits the trace it writes."""
+    trace = engine.read_trace(path)
+    graph, protocol = trace.header.graph, trace.header.protocol
+    observers = _fast5_observers(protocol, graph)
+    for observer in observers:
+        for record in trace.steps:
+            observer(record)
+    return _print_outcome(
+        trace, _outcome_audits(graph, protocol, trace, observers) + _step_audits(trace)
+    )
 
 
 def _read_header(path: str) -> engine.TraceHeader:
@@ -410,6 +435,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         p.add_argument("--seed", type=int, help="base seed (default: WFC_SEED or 0)")
         for flag in flags:
             p.add_argument(f"--{flag}", **_FLAGS[flag])
+    audit = sub.add_parser("audit", help="audit a stored trace without running it again")
+    audit.add_argument("path", help="trace file written by run --trace")
     sub.add_parser("lemmas", help="run the exhaustive reduction-function checks")
     return parser, sub.choices
 
@@ -431,6 +458,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "lemmas":
         return cmd_lemmas()
     try:
+        if args.command == "audit":
+            return cmd_audit(args.path)
         cfg = load_config(args.config) if args.config else ExperimentConfig()
         cfg.override(**{f.name: getattr(args, f.name, None) for f in fields(ExperimentConfig)})
         if cfg.seed is None:

@@ -29,6 +29,7 @@ from .protocols import (
     ACTIVATE,
     CYCLE_ONLY,
     Color,
+    CollectorPaused,
     Continue,
     Decision,
     FAST5,
@@ -82,11 +83,7 @@ class Execution:
     """Single-owner mutable execution state of one protocol over one graph."""
 
     def __init__(self, graph: Graph, ids: IdAssignment, protocol: str):
-        if protocol not in PROTOCOLS:
-            raise ValueError(f"unknown protocol {protocol!r}")
-        ids.validate_for(graph)
-        if protocol in CYCLE_ONLY and not graph.is_cycle:
-            raise ValueError(f"{protocol} runs on cycles only")
+        check_instance(graph, ids, protocol)
         self.graph = graph
         self.ids = ids
         self.protocol = protocol
@@ -135,6 +132,16 @@ class Execution:
         writes = {p: self.registers[p] for p in movers}
         return StepRecord(self._t, tuple(sorted(acts)), writes,
                           dict(zip(movers, views)), dict(zip(movers, decisions)))
+
+
+def check_instance(graph: Graph, ids: IdAssignment, protocol: str) -> None:
+    """Reject an unknown protocol, ids that do not fit the graph, and a cycle
+    protocol on another graph."""
+    if protocol not in PROTOCOLS:
+        raise ValueError(f"unknown protocol {protocol!r}")
+    ids.validate_for(graph)
+    if protocol in CYCLE_ONLY and not graph.is_cycle:
+        raise ValueError(f"{protocol} runs on cycles only")
 
 
 def step(
@@ -298,9 +305,13 @@ def decode_record(raw, protocol: str) -> View:
         return None
     if protocol == FAST5:
         x, r, a, b = raw
-        return ProtocolState(x, a, b, INFINITE if r == "inf" else r)
-    x, a, b = raw
-    return ProtocolState(x, a, b)
+        state = ProtocolState(x, a, b, INFINITE if r == "inf" else r)
+    else:
+        x, a, b = raw
+        state = ProtocolState(x, a, b)
+    if not all(isinstance(field, int) for field in state[: 4 if protocol == FAST5 else 3]):
+        raise ValueError(f"register {raw!r} holds a field that is not an integer")
+    return state
 
 
 def _encode_color(color: Color) -> int | list[int]:
@@ -317,14 +328,14 @@ def _encode_decision(decision: Decision) -> list:
     return ["cont", encode_record(decision.state)]
 
 
-def _decode_decision(raw, protocol: str) -> Decision:
+def _decode_decision(raw, state: Callable[[list], View]) -> Decision:
     tag, payload = raw
     if payload is None:
         raise ValueError(f"decision {tag!r} has a null payload")
     if tag == "ret":
         return Return(_decode_color(payload))
     if tag == "cont":
-        return Continue(decode_record(payload, protocol))
+        return Continue(state(payload))
     raise ValueError(f"decision tag {tag!r} is neither 'ret' nor 'cont'")
 
 
@@ -434,44 +445,69 @@ def _check_step(record: StepRecord, adjacency: tuple[tuple[int, ...], ...]) -> N
             raise ValueError(f"node {p} has {degree} neighbors, its read lists {len(views)}")
 
 
+def _not_an_integer(text: str):
+    raise ValueError(f"{text} is not an integer")
+
+
+# Step lines hold integers only, so a register decodes to the same state
+# whichever of two equal records, such as [1, 0, 0] and [1.0, 0, 0], comes first.
+_STEP_JSON = json.JSONDecoder(parse_float=_not_an_integer, parse_constant=_not_an_integer)
+
+
 def read_trace(path: str) -> Trace:
     """A trace file decoded under its header's protocol; a ValueError names
-    the file and the 1-based line of the first malformed line."""
+    the file and the 1-based line of the first malformed line.
+
+    Each distinct register record is decoded once per file, so every write,
+    read and cont state that holds it is one shared ProtocolState. The
+    collector is paused meanwhile, as in new_states."""
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if len(lines) < 2:
         raise ValueError(f"trace file {path} is truncated")
     lineno = 1
-    try:
-        header = parse_header(lines[0])
-        protocol = header.protocol
-        adjacency = header.graph.adjacency
-        steps = []
-        for lineno, line in enumerate(lines[1:-1], 2):
-            raw = json.loads(line)
-            record = StepRecord(
-                raw["t"],
-                tuple(raw["act"]),
-                {int(p): decode_record(rec, protocol) for p, rec in raw["w"].items()},
-                {
-                    int(p): tuple(decode_record(v, protocol) for v in views)
-                    for p, views in raw["rd"].items()
-                },
-                {int(p): _decode_decision(d, protocol) for p, d in raw["dec"].items()},
-            )
-            _check_step(record, adjacency)
-            steps.append(record)
-        lineno = len(lines)
-        tail = json.loads(lines[-1])
-        outputs = {int(p): _decode_color(c) for p, c in tail["out"].items()}
-        _check_nodes(outputs, len(adjacency))
-        tstar = tail["tstar"]
-    except json.JSONDecodeError:
-        raise ValueError(f"trace file {path} line {lineno}: not a JSON line") from None
-    except KeyError as exc:
-        raise ValueError(f"trace file {path} line {lineno}: no field {exc.args[0]!r}") from None
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise ValueError(f"trace file {path} line {lineno}: {exc}") from None
+    with CollectorPaused():
+        try:
+            header = parse_header(lines[0])
+            check_instance(header.graph, header.ids, header.protocol)
+            protocol = header.protocol
+            adjacency = header.graph.adjacency
+            states: dict[tuple, ProtocolState] = {}
+
+            def state(raw) -> View:
+                if raw is None:
+                    return None
+                key = tuple(raw)
+                decoded = states.get(key)
+                if decoded is None:
+                    decoded = states[key] = decode_record(raw, protocol)
+                return decoded
+
+            steps = []
+            for lineno, line in enumerate(lines[1:-1], 2):
+                raw = _STEP_JSON.decode(line)
+                record = StepRecord(
+                    raw["t"],
+                    tuple(raw["act"]),
+                    {int(p): state(rec) for p, rec in raw["w"].items()},
+                    {int(p): tuple(map(state, views)) for p, views in raw["rd"].items()},
+                    {int(p): _decode_decision(d, state) for p, d in raw["dec"].items()},
+                )
+                _check_step(record, adjacency)
+                steps.append(record)
+            lineno = len(lines)
+            tail = json.loads(lines[-1])
+            outputs = {int(p): _decode_color(c) for p, c in tail["out"].items()}
+            _check_nodes(outputs, len(adjacency))
+            tstar = tail["tstar"]
+        except json.JSONDecodeError:
+            raise ValueError(f"trace file {path} line {lineno}: not a JSON line") from None
+        except KeyError as exc:
+            raise ValueError(
+                f"trace file {path} line {lineno}: no field {exc.args[0]!r}"
+            ) from None
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ValueError(f"trace file {path} line {lineno}: {exc}") from None
     activations: dict[int, int] = {p: 0 for p in range(header.graph.node_count)}
     for record in steps:
         for p in record.decisions:

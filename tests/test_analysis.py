@@ -11,7 +11,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from wfcolor.analysis import (
     ab_exclusion_audit,
@@ -33,6 +33,7 @@ from wfcolor.model import (
     cycle,
     explicit_ids,
     monotone_chain_ids,
+    proper_coloring_ids,
     random_connected_graph,
     random_unique_ids,
 )
@@ -246,6 +247,107 @@ def test_ab_exclusion_b_side_skipped_for_proper_inputs():
     trace = run(ex, make_scheduler("sync", 8), 300)
     report = ab_exclusion_audit(trace)  # b side off by default for proper inputs
     assert report.passed
+
+
+# The frozenset replay that the rank-bitmask one in analysis replaced, kept as
+# the reference it is checked against.
+
+def _reference_moves(trace):
+    adjacency = trace.header.graph.adjacency
+    empty = frozenset()
+    xhat = [None] * len(adjacency)
+    local = [(empty, empty)] * len(adjacency)
+    published = [(empty, empty)] * len(adjacency)
+    for record in trace.steps:
+        moved = record.decisions.keys()
+        for p in moved:
+            xhat[p] = record.writes[p].x
+            published[p] = local[p]
+        for p in moved:
+            xp = xhat[p]
+            above = below = empty
+            up = down = 0
+            for q in adjacency[p]:
+                xq = xhat[q]
+                if xq is None:
+                    continue
+                if xq > xp:
+                    up += 1
+                    above = above | published[q][0] | {xq}
+                elif xq < xp:
+                    down += 1
+                    below = below | published[q][1] | {xq}
+            local[p] = (above, below)
+            yield record, p, xp, published[p], local[p], up, down
+
+
+def _reference_audits(trace):
+    """(checked, violations) of the parity, exclusion and growth audits."""
+    parity, exclusion, growth = [0, []], [0, []], [0, []]
+    check_b = trace.header.ids.kind == "unique"
+    for record, p, xp, (A0, B0), (A, B), n_up, n_down in _reference_moves(trace):
+        t = record.t
+        decision = record.decisions[p]
+        if isinstance(decision, Continue):
+            state = decision.state
+            if n_up <= 1:
+                parity[0] += 1
+                if state.a % 2 != len(A) % 2:
+                    parity[1].append((t, p, f"a={state.a} but |A|={len(A)}"))
+            if n_down <= 1:
+                parity[0] += 1
+                if state.b % 2 != len(B) % 2:
+                    parity[1].append((t, p, f"b={state.b} but |B|={len(B)}"))
+        exclusion[0] += 1
+        if A and min(A) <= xp:
+            exclusion[1].append((t, p, f"A contains a value <= published id {xp}"))
+        if check_b and B and max(B) >= xp:
+            exclusion[1].append((t, p, f"B contains a value >= published id {xp}"))
+        growth[0] += 1
+        if not A0 <= A:
+            growth[1].append((t, p, "A lost elements"))
+        if not B0 <= B:
+            growth[1].append((t, p, "B lost elements"))
+    return [tuple(parity), tuple(exclusion), tuple(growth)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(3, 9),
+    id_mode=st.sampled_from(["random", "chain", "proper:3", "proper:4"]),
+    seed=st.integers(0, 10**6),
+    p_act=st.sampled_from([0.3, 0.5, 0.8, 1.0]),
+    tampering=st.lists(
+        st.tuples(st.integers(0, 10**6), st.integers(0, 10**6), st.integers(-3, 3 * 9**3)),
+        max_size=4,
+    ),
+)
+def test_mask_replay_matches_the_frozenset_replay(n, id_mode, seed, p_act, tampering):
+    g = cycle(n)
+    if id_mode == "random":
+        ids = random_unique_ids(g, seed=seed)
+    elif id_mode == "chain":
+        ids = monotone_chain_ids(n)
+    else:
+        ids = proper_coloring_ids(g, int(id_mode[7:]), seed=seed)
+    trace = run(new_execution(g, ids, "slow6"), make_scheduler(f"rand:{p_act}:{seed}", n), 400)
+    busy = [record.t for record in trace.steps if record.writes]
+    for step_pick, node_pick, value in tampering:
+        # republish an id outside the inputs (value >= 0 and not in them, or
+        # negative) or one of them, which may duplicate a neighbor's
+        t = busy[step_pick % len(busy)]
+        movers = list(trace.steps[t - 1].writes)
+        x = value if value % 3 else ids.ids[value % n]
+        _republish(trace, t, movers[node_pick % len(movers)], x)
+
+    reports = [parity_audit(trace), ab_exclusion_audit(trace), ab_growth_audit(trace)]
+    assert [(r.checked, r.violations) for r in reports] == _reference_audits(trace)
+    rows = list(_reference_moves(trace))
+    sets = {}
+    for t in range(len(trace.steps) + 1):
+        sets.update((p, after) for record, p, _, _, after, _, _ in rows if record.t == t)
+        for node in range(n):
+            assert ab_sets(trace, node, t) == sets.get(node, (frozenset(), frozenset()))
 
 
 def test_stop_rule_audit_passes_and_detects_tampering():

@@ -1,13 +1,14 @@
 import contextlib
 import io
+import json
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from wfcolor.cli import ExperimentConfig, main
-from wfcolor.engine import new_execution
+from wfcolor.engine import new_execution, run, write_trace
 from wfcolor.model import cycle, explicit_ids
-from wfcolor.schedulers import load_schedule
+from wfcolor.schedulers import load_schedule, make_scheduler
 
 
 def run_cli(*argv):
@@ -301,6 +302,55 @@ def test_from_trace_that_is_not_json_names_the_file(tmp_path, capsys):
         assert f"trace file {path}: trace header is not a JSON line" in capsys.readouterr().err
 
 
+def write_audit_traces(directory):
+    """The slow6 triangle's trace (ids 5, 1, 9, sync) as good.jsonl, and
+    tampered, truncated and non-JSON versions of it."""
+    g = cycle(3)
+    execution = new_execution(g, explicit_ids(g, [5, 1, 9]), "slow6")
+    trace = run(execution, make_scheduler("sync", 3), 100)
+    good = directory / "good.jsonl"
+    write_trace(trace, str(good))
+    lines = good.read_text().splitlines()
+    step = json.loads(lines[2])  # node 1 (id 1) republishes as 6 at step 2
+    step["w"]["1"][0] = 6
+    tampered = lines[:2] + [json.dumps(step)] + lines[3:]
+    (directory / "tampered.jsonl").write_text("\n".join(tampered) + "\n")
+    (directory / "truncated.jsonl").write_text(good.read_text()[:-20])
+    (directory / "text.jsonl").write_text("not a trace\n")
+
+
+def test_audit_prints_what_run_printed(tmp_path, capsys):
+    path = tmp_path / "out.jsonl"
+    for protocol in ("slow6", "slow5", "fast5"):
+        code = run_cli("run", "--protocol", protocol, "--n", "7", "--sched", "rand:0.5:2",
+                       "--trace", str(path))
+        printed = capsys.readouterr().out
+        assert code == 0
+        assert run_cli("audit", str(path)) == 0
+        assert capsys.readouterr().out == printed
+
+
+def test_audit_flags_a_tampered_trace(tmp_path, capsys):
+    write_audit_traces(tmp_path)
+    assert run_cli("audit", str(tmp_path / "good.jsonl")) == 0
+    assert "audit ab_exclusion: pass" in capsys.readouterr().out
+    assert run_cli("audit", str(tmp_path / "tampered.jsonl")) == 1
+    out = capsys.readouterr().out
+    assert "audit ab_exclusion: FAIL (1 violations)" in out
+    assert "violation t=2 node=0: A contains a value <= published id 5" in out
+
+
+def test_audit_of_a_broken_file_is_usage_error(tmp_path, capsys):
+    write_audit_traces(tmp_path)
+    path = tmp_path / "truncated.jsonl"
+    assert run_cli("audit", str(path)) == 2
+    last = len(path.read_text().splitlines())
+    assert f"trace file {path} line {last}: not a JSON line" in capsys.readouterr().err
+    path = tmp_path / "missing.jsonl"
+    assert run_cli("audit", str(path)) == 2
+    assert str(path) in capsys.readouterr().err
+
+
 def test_mc_negative_bound_is_usage_error(capsys):
     code = run_cli("mc", "--protocol", "slow6", "--n", "3", "--ids", "1,2,5", "--bound", "-1")
     captured = capsys.readouterr()
@@ -402,12 +452,14 @@ _CONFIG_LINES = ["protocol=slow6", "protocol=nope", "n=4", "n=abc", "ids=chain",
 def cli_dir(tmp_path_factory):
     path = tmp_path_factory.mktemp("cli")
     (path / "bad.sched").write_text("0 1\nz\n")
+    write_audit_traces(path)
     return path
 
 
 @settings(max_examples=150, deadline=None)
 @given(
-    command=st.sampled_from(["run", "sweep", "mc", "worstcase"]),
+    command=st.sampled_from(["run", "sweep", "mc", "worstcase", "audit"]),
+    trace=st.sampled_from(["good", "tampered", "truncated", "missing", "text"]),
     protocol=st.sampled_from(_FLAG_TOKENS["--protocol"][:4]),
     n=st.sampled_from(["3", "4", "5"]),
     flags=st.lists(
@@ -417,9 +469,13 @@ def cli_dir(tmp_path_factory):
     ),
     config=st.none() | st.lists(st.sampled_from(_CONFIG_LINES), max_size=3),
 )
-def test_every_argument_list_exits_0_1_or_2(cli_dir, command, protocol, n, flags, config):
-    # a valid protocol and cycle come first, so that later tokens can break or override them
-    argv = [command, "--protocol", protocol, "--n", n]
+def test_every_argument_list_exits_0_1_or_2(cli_dir, command, trace, protocol, n, flags, config):
+    # a valid protocol and cycle come first, so that later tokens can break or override them;
+    # audit reads a stored trace, and no flag
+    if command == "audit":
+        argv = [command, str(cli_dir / f"{trace}.jsonl")]
+    else:
+        argv = [command, "--protocol", protocol, "--n", n]
     for flag, value in flags:
         argv += [flag, value.format(dir=cli_dir)]
     if config is not None:

@@ -292,6 +292,29 @@ def test_trace_round_trip(tmp_path):
     assert any(None in views for record in loaded.steps for views in record.reads.values())
 
 
+def test_read_trace_shares_one_state_per_distinct_record(tmp_path):
+    g = cycle(9)
+    ex = new_execution(g, explicit_ids(g, [40, 3, 17, 25, 8, 31, 12, 50, 21]), "slow6")
+    trace = run(ex, make_scheduler("rand:0.5:4", 9), 300)
+    path = tmp_path / "trace.jsonl"
+    write_trace(trace, str(path))
+    loaded = read_trace(str(path))
+    assert loaded == trace
+    latest = {}  # each node's latest write
+    shared = 0
+    for record in loaded.steps:
+        latest.update(record.writes)
+        for p, views in record.reads.items():
+            for q, view in zip(g.adjacency[p], views):
+                assert view is latest.get(q)  # a read is the write it saw
+                shared += view is not None
+    assert shared > 0
+    states = [d.state for record in loaded.steps for d in record.decisions.values()
+              if isinstance(d, Continue)]
+    states += [s for record in loaded.steps for s in record.writes.values()]
+    assert len(set(map(id, states))) == len(set(states))
+
+
 def _edit_step(edit):
     """A mangler that applies edit to the JSON of the chosen step line."""
     def mangle(lines, i):
@@ -341,9 +364,23 @@ def _drop_mover(field):
     return edit
 
 
+def _write_record(record):
+    def edit(raw):
+        p = next(iter(raw["w"]))
+        raw["w"][p] = record
+    return edit
+
+
 def _not_json(lines, i):
     lines[i] = lines[i][:-1]
     return i + 1
+
+
+def _header_protocol(lines, i):
+    raw = json.loads(lines[0])
+    raw["protocol"] = "slow7"
+    lines[0] = json.dumps(raw)
+    return 1
 
 
 def _final_without_out(lines, i):
@@ -382,13 +419,19 @@ def _final_output_outside_graph(lines, i):
         (_edit_step(_drop_mover("rd")), "is not named in all of w, rd and dec"),
         (_edit_step(_drop_mover("dec")), "is not named in all of w, rd and dec"),
         (_edit_step(_drop_mover("act")), "moves but is not in act"),
+        (_edit_step(_write_record([[3], 0, 0, 0])), "unhashable type: 'list'"),
+        (_edit_step(_write_record(["3", 0, 0, 0])), "holds a field that is not an integer"),
+        (_edit_step(_write_record([3, None, 0, 0])), "holds a field that is not an integer"),
+        (_edit_step(_write_record([3.5, 0, 0, 0])), "3.5 is not an integer"),
+        (_header_protocol, "unknown protocol 'slow7'"),
     ],
     ids=["step-without-rd", "final-without-out", "3-field-fast5-register", "non-json-step",
          "unknown-decision-tag", "decision-outside-graph", "null-continue", "null-return",
          "activation-outside-graph", "write-outside-graph", "read-outside-graph",
          "output-outside-graph", "null-write", "one-view-read", "three-view-read",
          "mover-without-write", "mover-without-read", "mover-without-decision",
-         "mover-not-activated"],
+         "mover-not-activated", "nested-list-register", "string-field", "null-counter",
+         "float-field", "unknown-protocol"],
 )
 def test_read_trace_names_the_file_and_line_of_a_malformed_line(tmp_path, mangle, problem):
     g = cycle(4)

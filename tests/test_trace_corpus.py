@@ -3,7 +3,8 @@
 The corpus covers all four protocols and every schedule kind (sync, rr,
 rand:, crash:, replay:@), and two fast5 runs whose traces hold "inf"
 counters. Besides the bytes, each run pins its outputs, activation counts
-and tstar, and reading the trace back gives the in-memory steps.
+and tstar, and reading the trace back gives the in-memory trace, with one
+state object per distinct register record.
 """
 
 import hashlib
@@ -79,7 +80,12 @@ def test_trace_corpus_keeps_its_bytes(case, tmp_path):
     assert [trace.outputs.get(p) for p in range(n)] == outputs
     assert [trace.activations[p] for p in range(n)] == activations
     assert trace.tstar == tstar
-    assert read_trace(str(path)).steps == trace.steps
+    loaded = read_trace(str(path))
+    assert loaded == trace
+    # one decoded state per distinct register record
+    states = [s for record in loaded.steps for s in record.writes.values()]
+    states += [v for record in loaded.steps for views in record.reads.values() for v in views]
+    assert len(set(map(id, states))) == len(set(states))
 
 
 def test_trace_corpus_holds_infinite_counters(tmp_path):
