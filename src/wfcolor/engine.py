@@ -12,6 +12,11 @@ the exhaustive model checker both call it. `kernel.py` restates it on numpy
 arrays for large cycles, where `run` hands it the run; tests/test_kernel.py
 checks that restatement against `step`.
 
+An execution is its registers, states, returns, activation counts and step
+count: a node works until it returns. `run` takes a fresh execution only, so
+a trace describes the whole execution from its first step, and the kernel
+builds its tables from the ids alone.
+
 Traces serialize as line-delimited JSON: a header line, one line per step
 with fields t/act/w/rd/dec, and a final line with out/tstar. Identical
 inputs produce byte-identical trace files.
@@ -38,6 +43,7 @@ from .protocols import (
     ProtocolState,
     Return,
     View,
+    initial_state,
     new_states,
 )
 
@@ -88,17 +94,16 @@ class Execution:
         self.ids = ids
         self.protocol = protocol
         self.registers: list[View] = [None] * graph.node_count
-        r = 0 if protocol == FAST5 else None  # initial_state's fields, in one pass
-        self.states: list[ProtocolState] = new_states(zip(ids.ids, repeat(0), repeat(0), repeat(r)))
-        self.returned: dict[int, Color] = {}
+        _, a, b, r = initial_state(protocol, 0)  # the fields every id shares, in one pass
+        self.states: list[ProtocolState] = new_states(zip(ids.ids, repeat(a), repeat(b), repeat(r)))
+        self.returned: dict[int, Color] = {}  # a node works until it returns
         self.activations: list[int] = [0] * graph.node_count
-        self.working: set[int] = set(range(graph.node_count))
-        self.last_movers = 0
+        self.last_move = 0  # the last step at which a working process moved
         self._activate = ACTIVATE[protocol]
         self._t = 0
 
     def all_returned(self) -> bool:
-        return not self.working
+        return len(self.returned) == self.graph.node_count
 
     def apply_step(self, activated: Iterable[int], record: bool = True) -> StepRecord | None:
         """Run one simultaneous step for the given activation set.
@@ -108,25 +113,22 @@ class Execution:
         is identical either way.
         """
         acts = frozenset(activated)  # no copy when the scheduler hands over a frozenset
-        if not acts <= self.working:  # else every activated node is a working one
-            n = self.graph.node_count
-            for p in acts:
-                if not 0 <= p < n:
-                    raise ValueError(f"unknown node index {p}")
+        movers = sorted(acts.difference(self.returned))
+        # an unknown node never returns, so the least and greatest mover bound it
+        if movers and (movers[0] < 0 or movers[-1] >= self.graph.node_count):
+            raise ValueError(f"unknown node index {movers[0] if movers[0] < 0 else movers[-1]}")
         self._t += 1
-        movers = sorted(acts & self.working)
-        self.last_movers = len(movers)
+        if movers:
+            self.last_move = self._t
         views, decisions = step(
             self.registers, self.states, movers, self.graph.adjacency, self._activate
         )
         activations = self.activations
         returned = self.returned
-        working = self.working
         for p, decision in zip(movers, decisions):
             activations[p] += 1
             if type(decision) is Return:
                 returned[p] = decision.color
-                working.discard(p)
         if not record:
             return None
         writes = {p: self.registers[p] for p in movers}
@@ -205,11 +207,13 @@ def run(
     keep_steps: bool = True,
     seed: int = 0,
 ) -> Trace:
-    """Drive an execution under a scheduler for at most horizon steps.
+    """Drive a fresh execution under a scheduler for at most horizon steps.
 
     Stops early once no process the scheduler can still activate is working;
     the trace then reports the last time a working process was activated as
-    tstar. Running out of horizon is reported, not raised.
+    tstar. Running out of horizon is reported, not raised. An execution that
+    has already taken a step is refused: the trace numbers its steps, counts
+    activations and reads tstar from step 1, so it would disagree with itself.
 
     A run that keeps no step records of a cycle protocol on at least
     KERNEL_MIN_NODES nodes, with every identifier below KERNEL_ID_LIMIT, goes
@@ -218,6 +222,8 @@ def run(
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
+    if execution._t:
+        raise ValueError(f"run takes a fresh execution; this one is at step {execution._t}")
     n = execution.graph.node_count
     if scheduler.node_count != n:
         raise ValueError(
@@ -271,18 +277,15 @@ def _run_steps(
     steps: list[StepRecord] | None,
 ) -> int | None:
     """run's reference loop; returns tstar, or None when the horizon ran out."""
-    tstar = 0
     recording = steps is not None or bool(observers)
     for t in range(1, horizon + 1):
         record = execution.apply_step(scheduler.at(t), record=recording)
-        if execution.last_movers:
-            tstar = t
         if steps is not None:
             steps.append(record)
         for observer in observers:
             observer(record)
-        if execution.working.isdisjoint(scheduler.support_after(t + 1)):
-            return tstar
+        if execution.returned.keys() >= scheduler.support_after(t + 1):
+            return execution.last_move
     return None
 
 
@@ -500,6 +503,9 @@ def read_trace(path: str) -> Trace:
             outputs = {int(p): _decode_color(c) for p, c in tail["out"].items()}
             _check_nodes(outputs, len(adjacency))
             tstar = tail["tstar"]
+            last = steps[-1].t if steps else 0
+            if tstar is not None and not (type(tstar) is int and 0 <= tstar <= last):
+                raise ValueError(f"tstar {tstar!r} is neither null nor a step from 0 to {last}")
         except json.JSONDecodeError:
             raise ValueError(f"trace file {path} line {lineno}: not a JSON line") from None
         except KeyError as exc:

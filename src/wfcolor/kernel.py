@@ -112,12 +112,6 @@ def _put(table: np.ndarray, nodes: np.ndarray, columns: np.ndarray) -> None:
 
 # --- conversions between tables and the engine's objects ---------------------
 
-def _table(states: list) -> np.ndarray:
-    """The (4, n) table of a list of states, x = -1 where a state is None."""
-    rows = [(-1, 0, 0, 0) if s is None else (s.x, s.a, s.b, s.r or 0) for s in states]
-    return np.array(rows, dtype=np.int64).reshape(-1, 4).T.copy()
-
-
 def _states(protocol: str, table: np.ndarray) -> list:
     """The ProtocolStates of a table's columns; None where x = -1."""
     x, a, b, r = table.tolist()
@@ -205,32 +199,29 @@ class _Record:
 # --- the run -------------------------------------------------------------------
 
 def run(execution: Execution, scheduler: Scheduler, horizon: int, observers=()) -> int | None:
-    """engine.run's loop without kept records: step the execution under the
-    scheduler for at most horizon steps, calling each observer with every
+    """engine.run's loop without kept records: step a fresh execution under
+    the scheduler for at most horizon steps, calling each observer with every
     step's record, and write the final state back into the execution.
-    Returns tstar, or None when the horizon ran out."""
+    Returns tstar, or None when the horizon ran out.
+
+    The tables start from the ids alone, as the execution is fresh: every
+    state initial, every register unwritten and every node working."""
     protocol = execution.protocol
     transition = _TRANSITIONS[protocol]
     n = execution.graph.node_count
     adjacency = np.fromiter(chain.from_iterable(execution.graph.adjacency), np.int64, 2 * n)
     adjacency = adjacency.reshape(n, 2).T.copy()
-    if execution.registers.count(None) == n:  # nothing written: every state is initial
-        states = np.zeros((4, n), dtype=np.int64)
-        states[X] = execution.ids.ids
-        registers = np.zeros_like(states)
-        registers[X] = -1
-    else:
-        states = _table(execution.states)
-        registers = _table(execution.registers)
-    working = np.zeros(n, dtype=bool)
-    working[list(execution.working)] = True
-    activations = np.array(execution.activations, dtype=np.int64)
+    states = np.zeros((4, n), dtype=np.int64)
+    states[X] = execution.ids.ids
+    registers = np.zeros_like(states)
+    registers[X] = -1
+    working = np.ones(n, dtype=bool)
+    activations = np.zeros(n, dtype=np.int64)
     outputs = np.zeros((2 if protocol == SLOW6 else 1, n), dtype=np.int64)
     returned_at = np.zeros(n, dtype=np.int64)  # step of return, to list returns in order
     activation_mask = _activation_masks(scheduler, n)
     support_mask = _Masks(n)
-    t0 = execution._t
-    tstar, terminated = 0, False
+    last_move, terminated = 0, False
     for t in range(1, horizon + 1):
         active = activation_mask(t)
         movers = np.flatnonzero(active & working)
@@ -246,22 +237,21 @@ def run(execution: Execution, scheduler: Scheduler, horizon: int, observers=()) 
         returned_at[gone] = t
         activations[movers] += 1
         if len(movers):
-            tstar = t
+            last_move = t
         if observers:
-            record = _Record(t0 + t, protocol, active, movers, pre, view, returns, colors, new)
+            record = _Record(t, protocol, active, movers, pre, view, returns, colors, new)
             for observer in observers:
                 observer(record)
         if not (working & support_mask(scheduler.support_after(t + 1))).any():
             terminated = True
             break
 
-    execution._t = t0 + t
-    execution.last_movers = len(movers)
+    execution._t = t
+    execution.last_move = last_move
     execution.activations[:] = activations.tolist()
     gone = np.flatnonzero(returned_at)
     gone = gone[np.argsort(returned_at[gone], kind="stable")]
     execution.returned.update(zip(gone.tolist(), _colors(outputs[:, gone])))
-    execution.working.difference_update(gone.tolist())
     final = _states(protocol, states)
     execution.states[:] = final
     same = (registers == states).all(0)
@@ -269,4 +259,4 @@ def run(execution: Execution, scheduler: Scheduler, horizon: int, observers=()) 
     execution.registers[:] = final
     for p, state in zip(np.flatnonzero(~same).tolist(), published):
         execution.registers[p] = state
-    return tstar if terminated else None
+    return last_move if terminated else None

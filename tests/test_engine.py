@@ -7,6 +7,7 @@ import pytest
 
 import wfcolor
 from wfcolor.engine import (
+    KERNEL_MIN_NODES,
     TraceFileWriter,
     TraceHeader,
     default_horizon,
@@ -78,8 +79,23 @@ def test_empty_step_is_noop():
 
 def test_unknown_node_rejected():
     ex = triangle_execution()
-    with pytest.raises(ValueError, match="unknown node index 3"):
-        ex.apply_step({3})
+    for acts, named in (({3}, 3), ({-1}, -1), ({0, 5}, 5)):
+        with pytest.raises(ValueError, match=f"unknown node index {named}$"):
+            ex.apply_step(acts)
+    assert ex.registers == [None, None, None]
+
+
+@pytest.mark.parametrize("n", [5, KERNEL_MIN_NODES])
+def test_run_refuses_an_execution_that_has_stepped(n):
+    # a run numbers its steps from 1, so a stepped execution would give a
+    # trace whose steps, activations and tstar disagree with the execution
+    g = cycle(n)
+    ex = new_execution(g, random_unique_ids(g, seed=1), "fast5")
+    ex.apply_step({0, 1}, record=False)
+    ex.apply_step({2}, record=False)
+    for keep_steps in (True, False):  # the reference loop, and the kernel from KERNEL_MIN_NODES on
+        with pytest.raises(ValueError, match="fresh execution; this one is at step 2$"):
+            run(ex, make_scheduler("sync", n), 400, keep_steps=keep_steps)
 
 
 def test_step_writes_then_reads_in_place():
@@ -390,6 +406,15 @@ def _final_without_out(lines, i):
     return len(lines)
 
 
+def _final_tstar(value):
+    def mangle(lines, i):
+        raw = json.loads(lines[-1])
+        raw["tstar"] = value
+        lines[-1] = json.dumps(raw)
+        return len(lines)
+    return mangle
+
+
 def _final_output_outside_graph(lines, i):
     raw = json.loads(lines[-1])
     raw["out"]["9"] = 0
@@ -424,6 +449,9 @@ def _final_output_outside_graph(lines, i):
         (_edit_step(_write_record([3, None, 0, 0])), "holds a field that is not an integer"),
         (_edit_step(_write_record([3.5, 0, 0, 0])), "3.5 is not an integer"),
         (_header_protocol, "unknown protocol 'slow7'"),
+        (_final_tstar("soon"), "tstar 'soon' is neither null nor a step from 0 to"),
+        (_final_tstar(99), "tstar 99 is neither null nor a step from 0 to"),
+        (_final_tstar(-3), "tstar -3 is neither null nor a step from 0 to"),
     ],
     ids=["step-without-rd", "final-without-out", "3-field-fast5-register", "non-json-step",
          "unknown-decision-tag", "decision-outside-graph", "null-continue", "null-return",
@@ -431,7 +459,8 @@ def _final_output_outside_graph(lines, i):
          "output-outside-graph", "null-write", "one-view-read", "three-view-read",
          "mover-without-write", "mover-without-read", "mover-without-decision",
          "mover-not-activated", "nested-list-register", "string-field", "null-counter",
-         "float-field", "unknown-protocol"],
+         "float-field", "unknown-protocol", "string-tstar", "tstar-after-last-step",
+         "negative-tstar"],
 )
 def test_read_trace_names_the_file_and_line_of_a_malformed_line(tmp_path, mangle, problem):
     g = cycle(4)

@@ -68,12 +68,10 @@ def runs(draw):
     seed = draw(st.integers(0, 10**6))
     text = draw(schedules(n))
     horizon = draw(st.one_of(st.integers(1, 12), st.just(engine.default_horizon(protocol, n))))
-    # steps applied before the run, so that it starts from written registers
-    before = draw(st.lists(st.frozensets(st.integers(0, n - 1)), max_size=3))
-    return n, protocol, ids_kind, seed, text, horizon, before
+    return n, protocol, ids_kind, seed, text, horizon
 
 
-def run_both(n, protocol, ids, text, horizon, before=()):
+def run_both(n, protocol, ids, text, horizon):
     """The reference run and the kernel run of one instance: each execution,
     its tstar, its materialized records and its trace writer's step lines."""
     graph = cycle(n)
@@ -81,8 +79,6 @@ def run_both(n, protocol, ids, text, horizon, before=()):
     results = []
     for use_kernel in (False, True):
         execution = new_execution(graph, ids, protocol)
-        for s in before:
-            execution.apply_step(s, record=False)
         records = []
         buffer = io.StringIO()
         observers = [lambda r: records.append(materialize(r)), TraceFileWriter(buffer, header)]
@@ -95,16 +91,16 @@ def run_both(n, protocol, ids, text, horizon, before=()):
     return results
 
 
-STATE = ("states", "registers", "returned", "activations", "working", "last_movers", "_t")
+STATE = ("states", "registers", "returned", "activations", "last_move", "_t")
 
 
 @settings(max_examples=200, deadline=None)
 @given(runs())
 def test_the_kernel_leaves_what_the_reference_leaves(case):
-    n, protocol, ids_kind, seed, text, horizon, before = case
+    n, protocol, ids_kind, seed, text, horizon = case
     ids = make_ids(cycle(n), ids_kind, seed)
     (ref, ref_tstar, ref_records, ref_lines), (ker, ker_tstar, ker_records, ker_lines) = run_both(
-        n, protocol, ids, text, horizon, before
+        n, protocol, ids, text, horizon
     )
     assert ker_tstar == ref_tstar
     for name in STATE:
