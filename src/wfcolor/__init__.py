@@ -1,7 +1,7 @@
 """Deterministic simulator and verification harness for wait-free coloring
 protocols on asynchronous, crash-prone cycles and bounded-degree graphs."""
 
-from .cointoss import bit_length, cv_reduce, logstar_steps
+from .cointoss import cv_reduce, logstar_steps
 from .engine import (
     Execution,
     StepRecord,

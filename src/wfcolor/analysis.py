@@ -13,9 +13,9 @@ set as an int bitmask over the ranks of the distinct published identifiers,
 so that a union is one `|` and a size, a least or greatest element or an
 inclusion test is one int operation; `ab_sets` turns masks back into sets.
 
-The audit of the published-identifier coloring is also available as a
-streaming observer so that large runs can be checked without retaining their
-step records.
+The published-identifier coloring of fast5 is checked by a streaming
+observer, fed each step record as it happens, so that large runs are checked
+without retaining their step records.
 """
 
 from __future__ import annotations
@@ -24,18 +24,9 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterator, Mapping, NamedTuple
 
-from .engine import NotTerminated, StepRecord, Trace, _dump
+from .engine import NotTerminated, StepRecord, Trace
 from .model import Graph, IdAssignment, UNIQUE
-from .protocols import (
-    Color,
-    Continue,
-    FAST5,
-    INFINITE,
-    Return,
-    SLOW5,
-    SLOW6,
-    palette_ok,
-)
+from .protocols import Color, Continue, SLOW5, SLOW6, palette_ok
 
 
 class ABSets(NamedTuple):
@@ -62,19 +53,6 @@ class AuditReport:
     def summary(self) -> str:
         status = "pass" if self.passed else f"FAIL ({len(self.violations)} violations)"
         return f"{self.name}: {status}"
-
-    def lines(self) -> Iterator[str]:
-        """Line-delimited serialization in the trace-file style: a header
-        line, then one line per violation."""
-        yield _dump({"audit": self.name, "checked": self.checked, "pass": self.passed})
-        for t, node, detail in self.violations:
-            yield _dump({"t": t, "node": node, "detail": detail})
-
-
-def write_report(report: AuditReport, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in report.lines():
-            fh.write(line + "\n")
 
 
 def check_proper_coloring(graph: Graph, outputs: Mapping[int, Color]) -> AuditReport:
@@ -328,53 +306,7 @@ class XhatColoringObserver:
         self.report.checked += checked
 
 
-def xhat_coloring_audit(trace: Trace) -> AuditReport:
-    """Published identifiers of neighbors never collide (written ones only)."""
-    _require_protocol(trace, FAST5, "xhat_coloring")
-    observer = XhatColoringObserver(trace.header.graph)
-    for record in trace.steps:
-        observer(record)
-    return observer.report
-
-
-def blocked_at(trace: Trace, node: int, t: int) -> bool:
-    """The fast-protocol blocked predicate: a finite counter equal to its
-    published value on a process that has not returned by time t."""
-    _require_protocol(trace, FAST5, "blocked_at")
-    if not 0 <= t <= len(trace.steps):
-        raise ValueError(f"time {t} outside the recorded 0..{len(trace.steps)} range")
-    r_local = 0
-    r_hat: int | None = None
-    for record in trace.steps:
-        if record.t > t:
-            break
-        decision = record.decisions.get(node)
-        if decision is None:
-            continue
-        r_hat = record.writes[node].r
-        if isinstance(decision, Return):
-            return False
-        r_local = decision.state.r
-    return r_local < INFINITE and r_local == r_hat
-
-
 # --- identifier geometry ----------------------------------------------------
-
-def local_maxima(ids: IdAssignment, graph: Graph) -> set[int]:
-    return {
-        p
-        for p in range(graph.node_count)
-        if all(ids.ids[p] > ids.ids[q] for q in graph.adjacency[p])
-    }
-
-
-def local_minima(ids: IdAssignment, graph: Graph) -> set[int]:
-    return {
-        p
-        for p in range(graph.node_count)
-        if all(ids.ids[p] < ids.ids[q] for q in graph.adjacency[p])
-    }
-
 
 def monotone_distances(ids: IdAssignment, graph: Graph) -> dict[int, tuple[int, int]]:
     """Per node, the distance to the nearest local maximum along a strictly

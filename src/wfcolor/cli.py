@@ -51,14 +51,6 @@ class ExperimentConfig:
 
     _INTS = ("n", "seed", "horizon", "trials", "bound", "budget")
 
-    def to_text(self) -> str:
-        lines = []
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if value is not None:
-                lines.append(f"{f.name}={value}")
-        return "\n".join(lines) + "\n"
-
     @classmethod
     def from_text(cls, text: str) -> "ExperimentConfig":
         cfg = cls()

@@ -11,19 +11,12 @@ from __future__ import annotations
 REDUCTION_FLOOR = 10
 
 
-def bit_length(z: int) -> int:
-    """Length of the binary decomposition of z; 0 has length 0."""
-    if z < 0:
-        raise ValueError("bit_length is defined on naturals")
-    return z.bit_length()
-
-
 def cv_reduce(x: int, y: int) -> int:
     """Reduce x against y.
 
     Returns 2*i + x_i where i is the lowest bit position at which x and y
     differ, capped by the shorter of the two bit-lengths. Total on all pairs
-    of naturals; the result never exceeds 2*bit_length(x) + 1.
+    of naturals; the result never exceeds 2*x.bit_length() + 1.
     """
     if x < 0 or y < 0:
         raise ValueError("cv_reduce is defined on naturals")
@@ -37,7 +30,7 @@ def cv_reduce(x: int, y: int) -> int:
 
 
 def logstar_steps(x: int) -> int:
-    """Number of times x -> 2*bit_length(x) + 1 must be applied to get below 10."""
+    """Number of times x -> 2*x.bit_length() + 1 must be applied to get below 10."""
     if x < 1:
         raise ValueError("logstar_steps requires x >= 1")
     steps = 0

@@ -403,12 +403,19 @@ class TraceFileWriter:
 
 
 def parse_header(line: str) -> TraceHeader:
-    """The header of a trace; a ValueError names a field it lacks."""
+    """The header of a trace; a ValueError names a field it lacks or whose
+    type is wrong."""
     try:
         raw = json.loads(line)
         graph = from_edges(raw["graph"]["n"], [tuple(e) for e in raw["graph"]["edges"]])
         ids = IdAssignment(tuple(raw["ids"]["values"]), raw["ids"]["kind"])
-        return TraceHeader(graph, ids, raw["protocol"], raw["sched"], raw["seed"], raw["horizon"])
+        sched, seed, horizon = raw["sched"], raw["seed"], raw["horizon"]
+        if type(sched) is not str:
+            raise ValueError(f"trace header field 'sched' is not a string: {sched!r}")
+        for name, value in (("seed", seed), ("horizon", horizon)):
+            if type(value) is not int:
+                raise ValueError(f"trace header field {name!r} is not an integer: {value!r}")
+        return TraceHeader(graph, ids, raw["protocol"], sched, seed, horizon)
     except json.JSONDecodeError:
         raise ValueError("trace header is not a JSON line") from None
     except KeyError as exc:
@@ -489,8 +496,11 @@ def read_trace(path: str) -> Trace:
             steps = []
             for lineno, line in enumerate(lines[1:-1], 2):
                 raw = _STEP_JSON.decode(line)
+                t = raw["t"]
+                if type(t) is not int or t != lineno - 1:
+                    raise ValueError(f"t {t!r} is not this line's step number {lineno - 1}")
                 record = StepRecord(
-                    raw["t"],
+                    t,
                     tuple(raw["act"]),
                     {int(p): state(rec) for p, rec in raw["w"].items()},
                     {int(p): tuple(map(state, views)) for p, views in raw["rd"].items()},
@@ -503,7 +513,7 @@ def read_trace(path: str) -> Trace:
             outputs = {int(p): _decode_color(c) for p, c in tail["out"].items()}
             _check_nodes(outputs, len(adjacency))
             tstar = tail["tstar"]
-            last = steps[-1].t if steps else 0
+            last = len(steps)
             if tstar is not None and not (type(tstar) is int and 0 <= tstar <= last):
                 raise ValueError(f"tstar {tstar!r} is neither null nor a step from 0 to {last}")
         except json.JSONDecodeError:

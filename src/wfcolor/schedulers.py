@@ -265,11 +265,6 @@ def make_scheduler(descriptor: Descriptor | str, node_count: int) -> Scheduler:
     return Scheduler(descriptor, node_count)
 
 
-def materialize(scheduler: Scheduler, steps: int) -> ReplaySched:
-    """Freeze sigma(1..steps) into an explicit replay descriptor."""
-    return ReplaySched(tuple(scheduler.at(t) for t in range(1, steps + 1)))
-
-
 # --- adversarial schedule search ------------------------------------------
 
 def _max_working_activations(

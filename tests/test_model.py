@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from wfcolor import model
-from wfcolor.analysis import local_maxima, local_minima
+from wfcolor.analysis import monotone_distances
 from wfcolor.model import (
     ColoringInfeasible,
     Graph,
@@ -88,17 +88,17 @@ def test_monotone_chain_shape():
     ids = monotone_chain_ids(5)
     assert ids.ids == (0, 1, 2, 3, 4)
     assert ids.kind == model.UNIQUE
-    g = cycle(5)
-    assert local_maxima(ids, g) == {4}
-    assert local_minima(ids, g) == {0}
+    distances = monotone_distances(ids, cycle(5))
+    assert [p for p, (up, _) in distances.items() if up == 0] == [4]
+    assert [p for p, (_, down) in distances.items() if down == 0] == [0]
 
 
 @given(st.integers(min_value=3, max_value=40))
 def test_monotone_chain_single_extrema(n):
     ids = monotone_chain_ids(n)
-    g = cycle(n)
-    assert len(local_maxima(ids, g)) == 1
-    assert len(local_minima(ids, g)) == 1
+    distances = monotone_distances(ids, cycle(n)).values()
+    assert sum(up == 0 for up, _ in distances) == 1
+    assert sum(down == 0 for _, down in distances) == 1
 
 
 def test_proper_two_coloring_even_ring():

@@ -17,7 +17,6 @@ from wfcolor.schedulers import (
     format_descriptor,
     load_schedule,
     make_scheduler,
-    materialize,
     parse_descriptor,
     random_stream,
     save_schedule,
@@ -196,7 +195,7 @@ def test_replay_equivalence_for_every_descriptor_family():
     for text in ("sync", "rr", "rand:0.4:11", "crash:2@6;rand:0.7:2"):
         sched = make_scheduler(text, 5)
         trace = run(new_execution(g, ids, "slow5"), sched, 240)
-        replayed = Scheduler(materialize(sched, 240), 5)
+        replayed = Scheduler(ReplaySched(tuple(frozenset(r.activated) for r in trace.steps)), 5)
         other = run(new_execution(g, ids, "slow5"), replayed, 240)
         assert other.outputs == trace.outputs
         assert other.steps == trace.steps
