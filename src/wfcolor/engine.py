@@ -12,10 +12,10 @@ the exhaustive model checker both call it. `kernel.py` restates it on numpy
 arrays for large cycles, where `run` hands it the run; tests/test_kernel.py
 checks that restatement against `step`.
 
-An execution is its registers, states, returns, activation counts and step
-count: a node works until it returns. `run` takes a fresh execution only, so
-a trace describes the whole execution from its first step, and the kernel
-builds its tables from the ids alone.
+An execution is its registers, states (built on first read), returns,
+activation counts and step count. `run` takes a fresh execution only, so a
+trace describes the whole execution from its first step: the trace is the
+outcome, and the kernel builds its tables from the ids alone.
 
 Traces serialize as line-delimited JSON: a header line, one line per step
 with fields t/act/w/rd/dec, and a final line with out/tstar. Identical
@@ -94,13 +94,20 @@ class Execution:
         self.ids = ids
         self.protocol = protocol
         self.registers: list[View] = [None] * graph.node_count
-        _, a, b, r = initial_state(protocol, 0)  # the fields every id shares, in one pass
-        self.states: list[ProtocolState] = new_states(zip(ids.ids, repeat(a), repeat(b), repeat(r)))
         self.returned: dict[int, Color] = {}  # a node works until it returns
         self.activations: list[int] = [0] * graph.node_count
         self.last_move = 0  # the last step at which a working process moved
         self._activate = ACTIVATE[protocol]
         self._t = 0
+        # set here: an attribute added after __init__ slows small runs ~10% on CPython 3.11
+        self._states: list[ProtocolState] | None = None
+
+    @property
+    def states(self) -> list[ProtocolState]:
+        if self._states is None:  # built on first read: a kernel run never reads them
+            _, a, b, r = initial_state(self.protocol, 0)  # the fields every id shares, in one pass
+            self._states = new_states(zip(self.ids.ids, repeat(a), repeat(b), repeat(r)))
+        return self._states
 
     def all_returned(self) -> bool:
         return len(self.returned) == self.graph.node_count
@@ -215,10 +222,10 @@ def run(
     has already taken a step is refused: the trace numbers its steps, counts
     activations and reads tstar from step 1, so it would disagree with itself.
 
-    A run that keeps no step records of a cycle protocol on at least
-    KERNEL_MIN_NODES nodes, with every identifier below KERNEL_ID_LIMIT, goes
-    to the numpy kernel when numpy imports. Observers see every step either
-    way, and the execution is left as this loop would leave it.
+    A run keeping no step records of a cycle protocol on KERNEL_MIN_NODES
+    nodes or more, every identifier below KERNEL_ID_LIMIT, goes to the numpy
+    kernel when numpy imports; observers see every step either way. The trace
+    is the outcome: a kernel run leaves registers and states initial.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
@@ -509,13 +516,41 @@ def read_trace(path: str) -> Trace:
                 _check_step(record, adjacency)
                 steps.append(record)
             lineno = len(lines)
-            tail = json.loads(lines[-1])
+            tail = _STEP_JSON.decode(lines[-1])
             outputs = {int(p): _decode_color(c) for p, c in tail["out"].items()}
             _check_nodes(outputs, len(adjacency))
             tstar = tail["tstar"]
             last = len(steps)
             if tstar is not None and not (type(tstar) is int and 0 <= tstar <= last):
                 raise ValueError(f"tstar {tstar!r} is neither null nor a step from 0 to {last}")
+            # the steps against the header and the final line
+            horizon = header.horizon
+            if last > horizon:
+                lineno = max(horizon, 0) + 2
+                raise ValueError(f"step {lineno - 1} is past the header's horizon {horizon}")
+            activations = dict.fromkeys(range(len(adjacency)), 0)
+            returned: dict[int, Color] = {}
+            moved = 0  # the last step with a decision
+            for lineno, record in enumerate(steps, 2):
+                for p, decision in record.decisions.items():
+                    if p in returned:
+                        raise ValueError(f"node {p} moves after its return")
+                    activations[p] += 1
+                    if type(decision) is Return:
+                        returned[p] = decision.color
+                if record.decisions:
+                    moved = record.t
+            lineno = len(lines)
+            if tstar is None and last < horizon:
+                raise ValueError(f"tstar is null, but the steps stop at {last}, "
+                                 f"before the horizon {horizon}")
+            if tstar is not None and tstar != moved:
+                raise ValueError(f"tstar {tstar} is not {moved}, the last step with a decision")
+            if outputs != returned:
+                p = min(outputs.keys() ^ returned.keys()
+                        or {p for p in outputs if outputs[p] != returned[p]})
+                raise ValueError(f"node {p}: out gives {outputs.get(p, 'no color')}, "
+                                 f"its ret decision {returned.get(p, 'none')}")
         except json.JSONDecodeError:
             raise ValueError(f"trace file {path} line {lineno}: not a JSON line") from None
         except KeyError as exc:
@@ -524,8 +559,4 @@ def read_trace(path: str) -> Trace:
             ) from None
         except (AttributeError, TypeError, ValueError) as exc:
             raise ValueError(f"trace file {path} line {lineno}: {exc}") from None
-    activations: dict[int, int] = {p: 0 for p in range(header.graph.node_count)}
-    for record in steps:
-        for p in record.decisions:
-            activations[p] += 1
     return Trace(header, steps, outputs, activations, tstar)

@@ -10,10 +10,10 @@ protocol's transition to all movers at once. `cv_reduce` gets bit lengths
 from `np.frexp`, which is exact below 2**53, and the least color missing
 from a bitmask is a table lookup.
 
-Observers get one `_Record` per step. It holds the step's arrays and builds
-each StepRecord field (activated, writes, reads, decisions) on first read, so
-an observer that reads only its arrays, as `XhatColoringObserver` does,
-builds no ProtocolState. It is not a tuple: observers read fields by name.
+Observers get one `_Record` per step, read by field name (it is not a tuple).
+It holds the step's arrays and builds each StepRecord field on first read, so
+an observer that reads only its arrays, as `XhatColoringObserver` does, builds
+no ProtocolState; nor does the run, which leaves registers and states initial.
 
 `engine.step` stays the one definition of the step; tests/test_kernel.py
 checks this restatement against it. `engine.run` sends a run here only when
@@ -201,11 +201,10 @@ class _Record:
 def run(execution: Execution, scheduler: Scheduler, horizon: int, observers=()) -> int | None:
     """engine.run's loop without kept records: step a fresh execution under
     the scheduler for at most horizon steps, calling each observer with every
-    step's record, and write the final state back into the execution.
-    Returns tstar, or None when the horizon ran out.
-
-    The tables start from the ids alone, as the execution is fresh: every
-    state initial, every register unwritten and every node working."""
+    step's record, and set in the execution only what the trace reports.
+    Returns tstar, or None when the horizon ran out. The tables start from
+    the ids alone, as the execution is fresh: every state initial, every
+    register unwritten and every node working."""
     protocol = execution.protocol
     transition = _TRANSITIONS[protocol]
     n = execution.graph.node_count
@@ -252,11 +251,4 @@ def run(execution: Execution, scheduler: Scheduler, horizon: int, observers=()) 
     gone = np.flatnonzero(returned_at)
     gone = gone[np.argsort(returned_at[gone], kind="stable")]
     execution.returned.update(zip(gone.tolist(), _colors(outputs[:, gone])))
-    final = _states(protocol, states)
-    execution.states[:] = final
-    same = (registers == states).all(0)
-    published = _states(protocol, registers[:, ~same])
-    execution.registers[:] = final
-    for p, state in zip(np.flatnonzero(~same).tolist(), published):
-        execution.registers[p] = state
     return last_move if terminated else None

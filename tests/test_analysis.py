@@ -85,9 +85,10 @@ def test_palette_flags_a_tampered_output(tmp_path):
     path = tmp_path / "trace.jsonl"
     write_trace(triangle_trace(), str(path))
     lines = path.read_text(encoding="utf-8").splitlines()
-    final = json.loads(lines[-1])
+    step, final = json.loads(lines[2]), json.loads(lines[-1])  # node 1 returns at step 2
+    step["dec"]["1"] = ["ret", [-1, 3]]  # out must equal the ret colors
     final["out"]["1"] = [-1, 3]
-    lines[-1] = json.dumps(final)
+    lines[2], lines[-1] = json.dumps(step), json.dumps(final)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     report = check_palette(read_trace(str(path)).outputs, "slow6")
     assert report.violations == [(None, 1, "output (-1, 3) outside the slow6 palette")]

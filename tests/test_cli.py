@@ -361,18 +361,28 @@ def test_audit_of_a_broken_file_is_usage_error(tmp_path, capsys):
     assert run_cli("audit", str(path)) == 2
     assert str(path) in capsys.readouterr().err
     lines = (tmp_path / "good.jsonl").read_text().splitlines()
-    header, step = json.loads(lines[0]), json.loads(lines[1])
+    header, step, final = json.loads(lines[0]), json.loads(lines[1]), json.loads(lines[-1])
+    out = final["out"]
     path = tmp_path / "edited.jsonl"
-    for i, edited, problem in (
-        (0, {**header, "horizon": "abc"}, "field 'horizon' is not an integer: 'abc'"),
-        (0, {**header, "horizon": 2.5}, "field 'horizon' is not an integer: 2.5"),
-        (0, {**header, "sched": 5}, "field 'sched' is not a string: 5"),
-        (1, {**step, "t": 7}, "t 7 is not this line's step number 1"),
+    for i, edited, at, problem in (  # edit line i + 1, the error names line at
+        (0, {**header, "horizon": "abc"}, 1, "field 'horizon' is not an integer: 'abc'"),
+        (0, {**header, "horizon": 2.5}, 1, "field 'horizon' is not an integer: 2.5"),
+        (0, {**header, "sched": 5}, 1, "field 'sched' is not a string: 5"),
+        (1, {**step, "t": 7}, 2, "t 7 is not this line's step number 1"),
+        (0, {**header, "horizon": 1}, 3, "step 2 is past the header's horizon 1"),
+        (3, {**final, "tstar": None}, 4, "tstar is null, but the steps stop at 2"),
+        (3, {**final, "tstar": 1}, 4, "tstar 1 is not 2, the last step with a decision"),
+        (1, {**step, "dec": {**step["dec"], "1": ["ret", [1, 0]]}}, 3,
+         "node 1 moves after its return"),
+        (3, {**final, "out": {**out, "1": [0, 1]}}, 4,
+         "node 1: out gives (0, 1), its ret decision (1, 0)"),
+        (3, {**final, "out": {p: c for p, c in out.items() if p != "1"}}, 4,
+         "node 1: out gives no color, its ret decision (1, 0)"),
     ):
         path.write_text("\n".join(lines[:i] + [json.dumps(edited)] + lines[i + 1:]) + "\n")
         assert run_cli("audit", str(path)) == 2
         err = capsys.readouterr().err
-        assert f"trace file {path} line {i + 1}: " in err and problem in err
+        assert f"trace file {path} line {at}: " in err and problem in err, err
 
 
 def test_mc_negative_bound_is_usage_error(capsys):

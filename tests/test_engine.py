@@ -417,11 +417,28 @@ def _final_tstar(value):
     return mangle
 
 
-def _final_output_outside_graph(lines, i):
-    raw = json.loads(lines[-1])
-    raw["out"]["9"] = 0
-    lines[-1] = json.dumps(raw)
-    return len(lines)
+def _final_out(edit):
+    def mangle(lines, i):
+        raw = json.loads(lines[-1])
+        edit(raw["out"])
+        lines[-1] = json.dumps(raw)
+        return len(lines)
+    return mangle
+
+
+def _short_horizon(lines, i):
+    _header_field("horizon", 1)(lines, i)
+    return 3  # the line of step 2
+
+
+def _return_early(lines, i):
+    """Turn the chosen step's first decision into a return; the line of that
+    node's next move is the malformed one."""
+    raw = json.loads(lines[i])
+    p = next(iter(raw["dec"]))
+    raw["dec"][p] = ["ret", 0]
+    lines[i] = json.dumps(raw)
+    return next(j for j in range(i + 1, len(lines) - 1) if p in json.loads(lines[j])["dec"]) + 1
 
 
 @pytest.mark.parametrize(
@@ -438,7 +455,7 @@ def _final_output_outside_graph(lines, i):
         (_edit_step(lambda raw: raw["act"].append(9)), "node 9 is outside"),
         (_edit_step(lambda raw: raw["w"].update({"9": [1, 0, 0, 0]})), "node 9 is outside"),
         (_edit_step(lambda raw: raw["rd"].update({"9": [None, None]})), "node 9 is outside"),
-        (_final_output_outside_graph, "node 9 is outside"),
+        (_final_out(lambda out: out.update({"9": 0})), "node 9 is outside"),
         (_edit_step(_null_write), "writes null"),
         (_edit_step(_read_count(1)), "has 2 neighbors, its read lists 1"),
         (_edit_step(_read_count(3)), "has 2 neighbors, its read lists 3"),
@@ -456,6 +473,12 @@ def _final_output_outside_graph(lines, i):
         (_final_tstar("soon"), "tstar 'soon' is neither null nor a step from 0 to"),
         (_final_tstar(99), "tstar 99 is neither null nor a step from 0 to"),
         (_final_tstar(-3), "tstar -3 is neither null nor a step from 0 to"),
+        (_short_horizon, "step 2 is past the header's horizon 1"),
+        (_final_tstar(None), "tstar is null, but the steps stop at 6, before the horizon 200"),
+        (_final_tstar(0), "tstar 0 is not 6, the last step with a decision"),
+        (_return_early, "node 0 moves after its return"),
+        (_final_out(lambda out: out.update({"0": 2})), "node 0: out gives 2, its ret decision 1"),
+        (_final_out(lambda out: out.pop("0")), "node 0: out gives no color, its ret decision 1"),
     ],
     ids=["step-without-rd", "final-without-out", "3-field-fast5-register", "non-json-step",
          "unknown-decision-tag", "decision-outside-graph", "null-continue", "null-return",
@@ -464,7 +487,9 @@ def _final_output_outside_graph(lines, i):
          "mover-without-write", "mover-without-read", "mover-without-decision",
          "mover-not-activated", "nested-list-register", "string-field", "null-counter",
          "float-field", "unknown-protocol", "string-horizon", "misnumbered-step",
-         "string-tstar", "tstar-after-last-step", "negative-tstar"],
+         "string-tstar", "tstar-after-last-step", "negative-tstar", "steps-past-horizon",
+         "null-tstar-before-horizon", "tstar-not-last-move", "move-after-return",
+         "output-differs-from-return", "return-missing-from-out"],
 )
 def test_read_trace_names_the_file_and_line_of_a_malformed_line(tmp_path, mangle, problem):
     g = cycle(4)
