@@ -6,12 +6,12 @@ up to t, and stays frozen once the owner returns or crashes. The two
 heard-of sets per process (identifiers reachable along increasing paths, and
 along decreasing ones) are recomputed here from that bookkeeping rather than
 tracked inside the protocols, which keeps the transition functions minimal.
-One replay yields a row per working activation, and the slow6 lemma audits
-check only those rows: between two of its moves, a node's published
-identifier and heard-of sets do not change. The replay holds each heard-of
-set as an int bitmask over the ranks of the distinct published identifiers,
-so that a union is one `|` and a size, a least or greatest element or an
-inclusion test is one int operation; `ab_sets` turns masks back into sets.
+One loop replays them, checking at each working activation the slow6 lemmas
+whose reports it is handed (between two of its moves, a node's published
+identifier and heard-of sets do not change), so `run` and `audit` replay a
+trace once. It holds each heard-of set as an int bitmask over the ranks of
+the distinct published identifiers, so that a union is one `|` and a size, a
+least or greatest element or an inclusion test is one int operation.
 
 The published-identifier coloring of fast5 is checked by a streaming
 observer, fed each step record as it happens, so that large runs are checked
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterator, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 from .engine import NotTerminated, StepRecord, Trace
 from .model import Graph, IdAssignment, UNIQUE
@@ -76,8 +76,8 @@ def check_palette(outputs: Mapping[int, Color], protocol: str, delta: int = 2) -
     order.
 
     Each distinct color is tested once when every color is an int or a tuple
-    of ints: equal values of other types need not share a verdict (1 and 1.0,
-    or (1, 1) and (1.0, 1)), so then each output is tested on its own.
+    of ints: equal values of other types need not share a verdict (1, 1.0 and
+    True, or (1, 1) and (1.0, 1)), so then each output is tested on its own.
     """
     report = AuditReport("palette")
     report.checked = len(outputs)
@@ -85,7 +85,7 @@ def check_palette(outputs: Mapping[int, Color], protocol: str, delta: int = 2) -
     kinds = set(map(type, colors))
     if kinds == {tuple}:
         kinds = set(map(type, chain.from_iterable(colors)))
-    if kinds <= {int, bool}:
+    if kinds <= {int}:
         bad = {color for color in set(colors) if not palette_ok(protocol, color, delta)}
         flagged = [p for p, color in outputs.items() if color in bad] if bad else []
     else:
@@ -104,65 +104,85 @@ def round_complexity(trace: Trace) -> int:
 
 # --- published-value bookkeeping -------------------------------------------
 
-_Masks = tuple[int, int]  # the heard-of sets A and B as rank bitmasks
-_Row = tuple[StepRecord, int, int, _Masks, _Masks, int, int]
-
-
-def _moves(trace: Trace) -> tuple[list[int], Iterator[_Row]]:
-    """Replay a trace's heard-of sets, one row per working activation.
+def _replay(
+    trace: Trace,
+    steps: list[StepRecord],
+    parity: AuditReport | None = None,
+    exclusion: AuditReport | None = None,
+    growth: AuditReport | None = None,
+) -> tuple[list[int], list[int], list[int]]:
+    """Replay the heard-of sets over steps, checking at each working
+    activation the lemmas whose reports are given.
 
     The movers of a step publish their ids and sets; then each rebuilds its
-    sets from the published ones of its larger (resp. smaller) neighbors. A
-    row is (record, p, the id x p published, p's sets before and after the
-    step, how many neighbors had published ids above x and below x).
-
-    Returns the sorted distinct published ids, values, with the rows. A set
-    is an int bitmask over the R ranks of values: A holds rank k as bit
-    R-1-k and B as bit k, so that neither spends bits on the ranks on the
-    other side of its owner's. Then |A| is A.bit_count(), min(A) is
-    values[R - A.bit_length()], max(B) is values[B.bit_length() - 1], and
-    A0 <= A is not A0 & ~A.
+    sets from the published ones of its larger (resp. smaller) neighbors.
+    Returns the sorted distinct ids published in steps, values, and each
+    node's sets as rebuilt at its latest move. A set is an int bitmask over
+    the R ranks of values: A holds rank k as bit R-1-k and B as bit k, so
+    that neither spends bits on the ranks on the other side of its owner's.
+    Then |A| is A.bit_count(), A holds an id <= x_p iff A.bit_length() > R-1-r
+    for x_p's rank r, B one >= x_p iff B.bit_length() > r, and A0 <= A is not
+    A0 & ~A. A rank's bit is built where it is used, not kept per node: on
+    10^4 nodes, that many ints of over 512 bytes fragment the heap.
     """
-    values = sorted({state.x for record in trace.steps for state in record.writes.values()})
-    return values, _replay(trace, values)
-
-
-def _replay(trace: Trace, values: list[int]) -> Iterator[_Row]:
-    """_moves' rows. A rank's bit is built where it is used, not kept per
-    node: on 10^4 nodes, that many ints of over 512 bytes fragment the heap."""
     adjacency = trace.header.graph.adjacency
+    values = sorted({state.x for record in steps for state in record.writes.values()})
     rank = {x: k for k, x in enumerate(values)}
     top = len(values) - 1
+    check_b = trace.header.ids.kind == UNIQUE
     n = len(adjacency)
     ranks: list[int | None] = [None] * n  # the rank of each node's published id
     local_a = [0] * n  # the sets each node rebuilt at its latest move
     local_b = [0] * n
     published_a = [0] * n  # the sets it wrote at that move
     published_b = [0] * n
-    for record in trace.steps:
-        moved = record.decisions.keys()
+    for record in steps:
+        decisions = record.decisions
         writes = record.writes
-        for p in moved:
+        for p in decisions:
             ranks[p] = rank[writes[p].x]
             published_a[p] = local_a[p]
             published_b[p] = local_b[p]
-        for p in moved:
+        for p in decisions:
             rp = ranks[p]
-            above = below = up = down = 0
+            A = B = up = down = 0
             for q in adjacency[p]:
                 rq = ranks[q]
                 if rq is None:
                     continue
                 if rq > rp:
                     up += 1
-                    above |= published_a[q] | 1 << (top - rq)
+                    A |= published_a[q] | 1 << (top - rq)
                 elif rq < rp:
                     down += 1
-                    below |= published_b[q] | 1 << rq
-            local_a[p] = above
-            local_b[p] = below
-            yield (record, p, values[rp], (published_a[p], published_b[p]),
-                   (above, below), up, down)
+                    B |= published_b[q] | 1 << rq
+            local_a[p] = A
+            local_b[p] = B
+            if parity is not None:
+                decision = decisions[p]
+                if isinstance(decision, Continue):
+                    state = decision.state
+                    if up <= 1:
+                        parity.checked += 1
+                        if state.a % 2 != A.bit_count() % 2:
+                            parity.flag(record.t, p, f"a={state.a} but |A|={A.bit_count()}")
+                    if down <= 1:
+                        parity.checked += 1
+                        if state.b % 2 != B.bit_count() % 2:
+                            parity.flag(record.t, p, f"b={state.b} but |B|={B.bit_count()}")
+            if exclusion is not None:
+                exclusion.checked += 1
+                if A.bit_length() > top - rp:
+                    exclusion.flag(record.t, p, f"A contains a value <= published id {values[rp]}")
+                if check_b and B.bit_length() > rp:
+                    exclusion.flag(record.t, p, f"B contains a value >= published id {values[rp]}")
+            if growth is not None:
+                growth.checked += 1
+                if published_a[p] & ~A:
+                    growth.flag(record.t, p, "A lost elements")
+                if published_b[p] & ~B:
+                    growth.flag(record.t, p, "B lost elements")
+    return values, local_a, local_b
 
 
 def ab_sets(trace: Trace, node: int, t: int) -> ABSets:
@@ -171,15 +191,9 @@ def ab_sets(trace: Trace, node: int, t: int) -> ABSets:
         raise ValueError(f"time {t} outside the recorded 0..{len(trace.steps)} range")
     if not 0 <= node < trace.header.graph.node_count:
         raise ValueError(f"unknown node {node}")
-    values, rows = _moves(trace)
-    masks = (0, 0)
-    for record, p, _, _, after, _, _ in rows:
-        if record.t > t:
-            break
-        if p == node:
-            masks = after
+    values, local_a, local_b = _replay(trace, trace.steps[:t])
     top = len(values) - 1
-    A, B = masks
+    A, B = local_a[node], local_b[node]
     return ABSets(
         frozenset(x for k, x in enumerate(values) if A >> (top - k) & 1),
         frozenset(x for k, x in enumerate(values) if B >> k & 1),
@@ -197,19 +211,7 @@ def parity_audit(trace: Trace) -> AuditReport:
     their heard-of set on that side."""
     _require_protocol(trace, SLOW6, "parity")
     report = AuditReport("parity")
-    for record, p, _, _, (A, B), n_up, n_down in _moves(trace)[1]:
-        decision = record.decisions[p]
-        if not isinstance(decision, Continue):
-            continue
-        state = decision.state
-        if n_up <= 1:
-            report.checked += 1
-            if state.a % 2 != A.bit_count() % 2:
-                report.flag(record.t, p, f"a={state.a} but |A|={A.bit_count()}")
-        if n_down <= 1:
-            report.checked += 1
-            if state.b % 2 != B.bit_count() % 2:
-                report.flag(record.t, p, f"b={state.b} but |B|={B.bit_count()}")
+    _replay(trace, trace.steps, parity=report)
     return report
 
 
@@ -218,16 +220,8 @@ def ab_exclusion_audit(trace: Trace) -> AuditReport:
     and (for unique-identifier inputs) everything heard of downward lies
     below it."""
     _require_protocol(trace, SLOW6, "ab_exclusion")
-    check_b = trace.header.ids.kind == UNIQUE
     report = AuditReport("ab_exclusion")
-    values, rows = _moves(trace)
-    count = len(values)
-    for record, p, xp, _, (A, B), _, _ in rows:
-        report.checked += 1
-        if A and values[count - A.bit_length()] <= xp:
-            report.flag(record.t, p, f"A contains a value <= published id {xp}")
-        if check_b and B and values[B.bit_length() - 1] >= xp:
-            report.flag(record.t, p, f"B contains a value >= published id {xp}")
+    _replay(trace, trace.steps, exclusion=report)
     return report
 
 
@@ -235,13 +229,16 @@ def ab_growth_audit(trace: Trace) -> AuditReport:
     """Heard-of sets only ever grow, inclusion-wise."""
     _require_protocol(trace, SLOW6, "ab_growth")
     report = AuditReport("ab_growth")
-    for record, p, _, (A0, B0), (A, B), _, _ in _moves(trace)[1]:
-        report.checked += 1
-        if A0 & ~A:
-            report.flag(record.t, p, "A lost elements")
-        if B0 & ~B:
-            report.flag(record.t, p, "B lost elements")
+    _replay(trace, trace.steps, growth=report)
     return report
+
+
+def heard_of_audits(trace: Trace) -> list[AuditReport]:
+    """The parity, ab_exclusion and ab_growth audits from one replay."""
+    _require_protocol(trace, SLOW6, "heard_of")
+    reports = [AuditReport("parity"), AuditReport("ab_exclusion"), AuditReport("ab_growth")]
+    _replay(trace, trace.steps, *reports)
+    return reports
 
 
 def stop_rule_audit(trace: Trace) -> AuditReport:
@@ -315,30 +312,29 @@ def monotone_distances(ids: IdAssignment, graph: Graph) -> dict[int, tuple[int, 
     second."""
     if not graph.is_cycle:
         raise ValueError("monotone distances are defined on cycles")
-    values = ids.ids
-    n = graph.node_count
+    ring = graph.depth_first_order()
+    values = [ids.ids[p] for p in ring]
+    negated = [-x for x in values]
+    up_back, down_back = _rises(values), _rises(negated)
+    up_on, down_on = _rises(values[::-1])[::-1], _rises(negated[::-1])[::-1]
+    distances = [(0, 0)] * len(ring)
+    for p, a, b, c, d in zip(ring, up_back, up_on, down_back, down_on):
+        # the shorter of the walks that exist; a walk of 0 steps is none
+        distances[p] = (b if not a or 0 < b < a else a, d if not c or 0 < d < c else c)
+    return dict(enumerate(distances))
 
-    def chase(p: int, q: int, up: bool) -> int:
-        # length of the monotone run starting with edge p -> q (pre: strict step)
-        steps = 1
-        prev, cur = p, q
-        while True:
-            a, b = graph.adjacency[cur]
-            nxt = b if a == prev else a
-            if (values[nxt] > values[cur]) == up and values[nxt] != values[cur]:
-                prev, cur = cur, nxt
-                steps += 1
-                if steps > n:
-                    raise RuntimeError("monotone walk failed to terminate")
-            else:
-                return steps
 
-    out = {}
-    for p in range(n):
-        ups = [chase(p, q, True) for q in graph.adjacency[p] if values[q] > values[p]]
-        downs = [chase(p, q, False) for q in graph.adjacency[p] if values[q] < values[p]]
-        out[p] = (min(ups) if ups else 0, min(downs) if downs else 0)
-    return out
+def _rises(values: list[int]) -> list[int]:
+    """Per position of the cyclic sequence values, the steps of the strictly
+    increasing walk from it toward the positions before it. The sweep starts
+    past a maximum, where every such walk ends."""
+    top = values.index(max(values))
+    rises = [0] * len(values)
+    run = 0
+    for i in range(top + 1 - len(values), top):  # negative indices wrap round
+        run = run + 1 if values[i - 1] > values[i] else 0
+        rises[i] = run
+    return rises
 
 
 def slow6_bound(ell: int, ell_prime: int) -> int:

@@ -171,19 +171,16 @@ def _outcome_audits(
 
 
 _STEP_AUDITS = {
-    SLOW6: (
-        analysis.activation_bound_audit,
-        analysis.parity_audit,
-        analysis.ab_exclusion_audit,
-        analysis.ab_growth_audit,
-    ),
-    SLOW5: (analysis.activation_bound_audit, analysis.stop_rule_audit),
+    SLOW6: analysis.heard_of_audits,
+    SLOW5: lambda trace: [analysis.stop_rule_audit(trace)],
 }
 
 
 def _step_audits(trace: engine.Trace) -> list[analysis.AuditReport]:
-    """The audits of a trace's kept steps that its protocol has."""
-    return [audit(trace) for audit in _STEP_AUDITS.get(trace.header.protocol, ())]
+    """The activation bound and lemma audits of a trace's kept steps, for the
+    protocols that have them."""
+    audits = _STEP_AUDITS.get(trace.header.protocol)
+    return [analysis.activation_bound_audit(trace), *audits(trace)] if audits else []
 
 
 def _print_outcome(trace: engine.Trace, reports: list[analysis.AuditReport]) -> int:

@@ -319,7 +319,7 @@ def decode_record(raw, protocol: str) -> View:
     else:
         x, a, b = raw
         state = ProtocolState(x, a, b)
-    if not all(isinstance(field, int) for field in state[: 4 if protocol == FAST5 else 3]):
+    if not all(type(field) is int for field in state[: 4 if protocol == FAST5 else 3]):
         raise ValueError(f"register {raw!r} holds a field that is not an integer")
     return state
 
@@ -422,6 +422,8 @@ def parse_header(line: str) -> TraceHeader:
         for name, value in (("seed", seed), ("horizon", horizon)):
             if type(value) is not int:
                 raise ValueError(f"trace header field {name!r} is not an integer: {value!r}")
+        if horizon < 0:
+            raise ValueError(f"trace header field 'horizon' is negative: {horizon}")
         return TraceHeader(graph, ids, raw["protocol"], sched, seed, horizon)
     except json.JSONDecodeError:
         raise ValueError("trace header is not a JSON line") from None
@@ -500,12 +502,18 @@ def read_trace(path: str) -> Trace:
                     decoded = states[key] = decode_record(raw, protocol)
                 return decoded
 
+            horizon = header.horizon
             steps = []
+            activations = dict.fromkeys(range(len(adjacency)), 0)
+            returned: dict[int, Color] = {}
+            moved = 0  # the last step with a decision
             for lineno, line in enumerate(lines[1:-1], 2):
                 raw = _STEP_JSON.decode(line)
                 t = raw["t"]
                 if type(t) is not int or t != lineno - 1:
                     raise ValueError(f"t {t!r} is not this line's step number {lineno - 1}")
+                if t > horizon:
+                    raise ValueError(f"step {t} is past the header's horizon {horizon}")
                 record = StepRecord(
                     t,
                     tuple(raw["act"]),
@@ -514,6 +522,14 @@ def read_trace(path: str) -> Trace:
                     {int(p): _decode_decision(d, state) for p, d in raw["dec"].items()},
                 )
                 _check_step(record, adjacency)
+                for p, decision in record.decisions.items():
+                    if p in returned:
+                        raise ValueError(f"node {p} moves after its return")
+                    activations[p] += 1
+                    if type(decision) is Return:
+                        returned[p] = decision.color
+                if record.decisions:
+                    moved = t
                 steps.append(record)
             lineno = len(lines)
             tail = _STEP_JSON.decode(lines[-1])
@@ -523,24 +539,6 @@ def read_trace(path: str) -> Trace:
             last = len(steps)
             if tstar is not None and not (type(tstar) is int and 0 <= tstar <= last):
                 raise ValueError(f"tstar {tstar!r} is neither null nor a step from 0 to {last}")
-            # the steps against the header and the final line
-            horizon = header.horizon
-            if last > horizon:
-                lineno = max(horizon, 0) + 2
-                raise ValueError(f"step {lineno - 1} is past the header's horizon {horizon}")
-            activations = dict.fromkeys(range(len(adjacency)), 0)
-            returned: dict[int, Color] = {}
-            moved = 0  # the last step with a decision
-            for lineno, record in enumerate(steps, 2):
-                for p, decision in record.decisions.items():
-                    if p in returned:
-                        raise ValueError(f"node {p} moves after its return")
-                    activations[p] += 1
-                    if type(decision) is Return:
-                        returned[p] = decision.color
-                if record.decisions:
-                    moved = record.t
-            lineno = len(lines)
             if tstar is None and last < horizon:
                 raise ValueError(f"tstar is null, but the steps stop at {last}, "
                                  f"before the horizon {horizon}")

@@ -230,18 +230,18 @@ ACTIVATE = {
 def palette_ok(protocol: str, color: Color, delta: int = 2) -> bool:
     """Whether an output color lies in the protocol's declared palette: a
     pair (a, b) of naturals with a + b <= 2 (slow6) or <= delta (deltasq),
-    or an int 0..4 (slow5, fast5)."""
+    or an int 0..4 (slow5, fast5). A bool is not an int here."""
     if protocol in (SLOW6, DELTASQ):
         if not (isinstance(color, tuple) and len(color) == 2):
             return False
         a, b = color
         return (
-            isinstance(a, int)
-            and isinstance(b, int)
+            type(a) is int
+            and type(b) is int
             and 0 <= a
             and 0 <= b
             and a + b <= (2 if protocol == SLOW6 else delta)
         )
     if protocol in (SLOW5, FAST5):
-        return isinstance(color, int) and 0 <= color <= 4
+        return type(color) is int and 0 <= color <= 4
     raise ValueError(f"unknown protocol {protocol!r}")

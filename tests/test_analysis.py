@@ -11,7 +11,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from wfcolor.analysis import (
     XhatColoringObserver,
@@ -21,6 +21,7 @@ from wfcolor.analysis import (
     activation_bound_audit,
     check_palette,
     check_proper_coloring,
+    heard_of_audits,
     monotone_distances,
     parity_audit,
     round_complexity,
@@ -30,6 +31,7 @@ from wfcolor.engine import NotTerminated, StepRecord, new_execution, read_trace,
 from wfcolor.model import (
     cycle,
     explicit_ids,
+    from_edges,
     monotone_chain_ids,
     proper_coloring_ids,
     random_connected_graph,
@@ -110,9 +112,11 @@ _colors = st.one_of(
     st.sampled_from(PROTOCOLS),
     st.integers(0, 4),
 )
+@example({0: 1, 1: True}, "slow5", 2)
+@example({0: (0, 0), 1: (False, 0)}, "slow6", 2)
 def test_palette_flags_what_palette_ok_rejects_in_node_order(outputs, protocol, delta):
-    # equal colors of different types (1 and 1.0, (1, 1) and (1.0, 1)) are
-    # tested on their own
+    # equal colors of different types (1, 1.0 and True, (1, 1) and (1.0, 1))
+    # are tested on their own
     report = check_palette(outputs, protocol, delta)
     assert report.checked == len(outputs)
     assert report.violations == [
@@ -341,6 +345,9 @@ def test_mask_replay_matches_the_frozenset_replay(n, id_mode, seed, p_act, tampe
 
     reports = [parity_audit(trace), ab_exclusion_audit(trace), ab_growth_audit(trace)]
     assert [(r.checked, r.violations) for r in reports] == _reference_audits(trace)
+    assert [(r.name, r.checked, r.violations) for r in heard_of_audits(trace)] == [
+        (r.name, r.checked, r.violations) for r in reports
+    ]
     rows = list(_reference_moves(trace))
     sets = {}
     for t in range(len(trace.steps) + 1):
@@ -436,6 +443,57 @@ def test_monotone_distances_rejects_general_graphs():
     g = random_connected_graph(8, 3, seed=1)
     with pytest.raises(ValueError):
         monotone_distances(random_unique_ids(g, seed=0), g)
+
+
+# The per-node walk that the ring sweeps in analysis replaced, kept as the
+# reference they are checked against.
+
+def _reference_distances(ids, graph):
+    values = ids.ids
+
+    def chase(p, q, up):  # steps of the monotone walk starting with edge p -> q
+        steps, prev, cur = 1, p, q
+        while True:
+            a, b = graph.adjacency[cur]
+            nxt = b if a == prev else a
+            if (values[nxt] > values[cur]) == up and values[nxt] != values[cur]:
+                prev, cur, steps = cur, nxt, steps + 1
+            else:
+                return steps
+
+    out = {}
+    for p in range(graph.node_count):
+        ups = [chase(p, q, True) for q in graph.adjacency[p] if values[q] > values[p]]
+        downs = [chase(p, q, False) for q in graph.adjacency[p] if values[q] < values[p]]
+        out[p] = (min(ups, default=0), min(downs, default=0))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(3, 60),
+    id_mode=st.sampled_from(["random", "chain", "proper:2", "proper:3", "proper:4", "narrow"]),
+    seed=st.integers(0, 10**6),
+    relabel=st.booleans(),
+)
+def test_monotone_distances_match_the_walk(n, id_mode, seed, relabel):
+    rng = random.Random(seed)
+    if relabel:
+        order = rng.sample(range(n), n)
+        g = from_edges(n, [(order[i - 1], order[i]) for i in range(n)])
+    else:
+        g = cycle(n)
+    if id_mode == "random":
+        ids = random_unique_ids(g, seed=seed)
+    elif id_mode == "chain":
+        ids = monotone_chain_ids(n)
+    elif id_mode == "narrow":  # unique ids in [0, n)
+        ids = explicit_ids(g, rng.sample(range(n), n))
+    else:
+        k = int(id_mode[7:])
+        assume(k > 2 or n % 2 == 0)  # an odd cycle has no 2-coloring
+        ids = proper_coloring_ids(g, k, seed=seed)
+    assert monotone_distances(ids, g) == _reference_distances(ids, g)
 
 
 def test_activation_bound_audit_slow6():

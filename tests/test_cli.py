@@ -5,6 +5,7 @@ import json
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
+from wfcolor import analysis
 from wfcolor.cli import ExperimentConfig, main
 from wfcolor.engine import new_execution, run, write_trace
 from wfcolor.model import cycle, explicit_ids
@@ -341,6 +342,22 @@ def test_audit_prints_what_run_printed(tmp_path, capsys):
         assert capsys.readouterr().out == printed
 
 
+def test_run_and_audit_replay_a_slow6_trace_once(tmp_path, capsys, monkeypatch):
+    replay = analysis._replay
+    replays = []
+
+    def counted(*args, **kwargs):
+        replays.append(args)
+        return replay(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "_replay", counted)
+    path = tmp_path / "out.jsonl"
+    assert run_cli("run", "--protocol", "slow6", "--n", "7", "--trace", str(path)) == 0
+    assert len(replays) == 1
+    assert run_cli("audit", str(path)) == 0
+    assert len(replays) == 2
+
+
 def test_audit_flags_a_tampered_trace(tmp_path, capsys):
     write_audit_traces(tmp_path)
     assert run_cli("audit", str(tmp_path / "good.jsonl")) == 0
@@ -369,6 +386,8 @@ def test_audit_of_a_broken_file_is_usage_error(tmp_path, capsys):
         (0, {**header, "horizon": 2.5}, 1, "field 'horizon' is not an integer: 2.5"),
         (0, {**header, "sched": 5}, 1, "field 'sched' is not a string: 5"),
         (1, {**step, "t": 7}, 2, "t 7 is not this line's step number 1"),
+        (1, {**step, "w": {**step["w"], "0": [True, 0, 0]}}, 2,
+         "register [True, 0, 0] holds a field that is not an integer"),
         (0, {**header, "horizon": 1}, 3, "step 2 is past the header's horizon 1"),
         (3, {**final, "tstar": None}, 4, "tstar is null, but the steps stop at 2"),
         (3, {**final, "tstar": 1}, 4, "tstar 1 is not 2, the last step with a decision"),

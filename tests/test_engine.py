@@ -467,8 +467,10 @@ def _return_early(lines, i):
         (_edit_step(_write_record(["3", 0, 0, 0])), "holds a field that is not an integer"),
         (_edit_step(_write_record([3, None, 0, 0])), "holds a field that is not an integer"),
         (_edit_step(_write_record([3.5, 0, 0, 0])), "3.5 is not an integer"),
+        (_edit_step(_write_record([True, 0, 0, 0])), "holds a field that is not an integer"),
         (_header_field("protocol", "slow7"), "unknown protocol 'slow7'"),
         (_header_field("horizon", "abc"), "field 'horizon' is not an integer: 'abc'"),
+        (_header_field("horizon", -1), "field 'horizon' is negative: -1"),
         (_edit_step(lambda raw: raw.update(t=99)), "t 99 is not this line's step number"),
         (_final_tstar("soon"), "tstar 'soon' is neither null nor a step from 0 to"),
         (_final_tstar(99), "tstar 99 is neither null nor a step from 0 to"),
@@ -486,7 +488,8 @@ def _return_early(lines, i):
          "output-outside-graph", "null-write", "one-view-read", "three-view-read",
          "mover-without-write", "mover-without-read", "mover-without-decision",
          "mover-not-activated", "nested-list-register", "string-field", "null-counter",
-         "float-field", "unknown-protocol", "string-horizon", "misnumbered-step",
+         "float-field", "bool-field", "unknown-protocol", "string-horizon",
+         "negative-horizon", "misnumbered-step",
          "string-tstar", "tstar-after-last-step", "negative-tstar", "steps-past-horizon",
          "null-tstar-before-horizon", "tstar-not-last-move", "move-after-return",
          "output-differs-from-return", "return-missing-from-out"],

@@ -305,6 +305,8 @@ def test_palette_membership():
         (DELTASQ, (-4, 5), 2),
         (DELTASQ, (0, 0, 0), 3),
         (SLOW5, -1, 2),
+        (SLOW5, True, 2),
+        (SLOW6, (False, 0), 2),
         (FAST5, 2.0, 2),
     ],
 )
