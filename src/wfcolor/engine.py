@@ -19,7 +19,9 @@ outcome, and the kernel builds its tables from the ids alone.
 
 Traces serialize as line-delimited JSON: a header line, one line per step
 with fields t/act/w/rd/dec, and a final line with out/tstar. Identical
-inputs produce byte-identical trace files.
+inputs produce byte-identical trace files. `step_line` writes a step line
+straight as text, the same bytes as `json.dumps` with sorted keys, and a
+run that keeps its step records runs with the cyclic collector paused.
 """
 
 from __future__ import annotations
@@ -226,6 +228,11 @@ def run(
     nodes or more, every identifier below KERNEL_ID_LIMIT, goes to the numpy
     kernel when numpy imports; observers see every step either way. The trace
     is the outcome: a kernel run leaves registers and states initial.
+
+    A run that keeps its step records runs with the cyclic collector paused,
+    as in new_states, observers included: the records hold no reference
+    cycles, and the collections that their growing list sets off would walk
+    it again and again.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
@@ -238,11 +245,15 @@ def run(
             f"the execution has {n}"
         )
     steps: list[StepRecord] = []
-    kernel = None if keep_steps else _kernel(execution)
-    if kernel is not None:
-        tstar = kernel.run(execution, scheduler, horizon, observers)
+    if keep_steps:
+        with CollectorPaused():
+            tstar = _run_steps(execution, scheduler, horizon, observers, steps)
     else:
-        tstar = _run_steps(execution, scheduler, horizon, observers, steps if keep_steps else None)
+        kernel = _kernel(execution)
+        if kernel is not None:
+            tstar = kernel.run(execution, scheduler, horizon, observers)
+        else:
+            tstar = _run_steps(execution, scheduler, horizon, observers, None)
     header = TraceHeader(
         execution.graph,
         execution.ids,
@@ -302,14 +313,6 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def encode_record(rec: View) -> list | None:
-    if rec is None:
-        return None
-    if rec.r is None:
-        return [rec.x, rec.a, rec.b]
-    return [rec.x, "inf" if rec.r == INFINITE else rec.r, rec.a, rec.b]
-
-
 def decode_record(raw, protocol: str) -> View:
     if raw is None:
         return None
@@ -329,13 +332,13 @@ def _encode_color(color: Color) -> int | list[int]:
 
 
 def _decode_color(raw) -> Color:
-    return tuple(raw) if isinstance(raw, list) else raw
-
-
-def _encode_decision(decision: Decision) -> list:
-    if isinstance(decision, Return):
-        return ["ret", _encode_color(decision.color)]
-    return ["cont", encode_record(decision.state)]
+    """An int, or a flat list of ints as a tuple; the palette audit judges
+    its range and shape."""
+    if type(raw) is int:
+        return raw
+    if type(raw) is list and all(type(c) is int for c in raw):
+        return tuple(raw)
+    raise ValueError(f"color {raw!r} is neither an integer nor a list of integers")
 
 
 def _decode_decision(raw, state: Callable[[list], View]) -> Decision:
@@ -362,19 +365,37 @@ def header_line(header: TraceHeader) -> str:
     )
 
 
+def _register_text(rec: View) -> str:
+    if rec is None:
+        return "null"
+    x, a, b, r = rec
+    if r is None:
+        return f"[{x},{a},{b}]"
+    if r == INFINITE:
+        return f'[{x},"inf",{a},{b}]'
+    return f"[{x},{r},{a},{b}]"
+
+
+def _decision_text(decision: Decision) -> str:
+    if type(decision) is Return:
+        color = decision.color
+        if type(color) is int:
+            return f'["ret",{color}]'
+        return f'["ret",[{",".join(map(str, color))}]]'
+    return f'["cont",{_register_text(decision.state)}]'
+
+
 def step_line(record: StepRecord) -> str:
-    return _dump(
-        {
-            "t": record.t,
-            "act": list(record.activated),
-            "w": {str(p): encode_record(rec) for p, rec in record.writes.items()},
-            "rd": {
-                str(p): [encode_record(v) for v in views]
-                for p, views in record.reads.items()
-            },
-            "dec": {str(p): _encode_decision(d) for p, d in record.decisions.items()},
-        }
-    )
+    """The step's line, built as text: the bytes that json.dumps with sorted
+    keys gives for its fields. A node's key is its index as a string, so
+    "10" sorts before "2"; as '"' sorts before every digit, sorting whole
+    '"p":value' entries sorts them by key."""
+    w = ",".join(sorted([f'"{p}":{_register_text(s)}' for p, s in record.writes.items()]))
+    rd = ",".join(sorted([f'"{p}":[{",".join(map(_register_text, views))}]'
+                          for p, views in record.reads.items()]))
+    dec = ",".join(sorted([f'"{p}":{_decision_text(d)}' for p, d in record.decisions.items()]))
+    act = ",".join(map(str, record.activated))
+    return f'{{"act":[{act}],"dec":{{{dec}}},"rd":{{{rd}}},"t":{record.t},"w":{{{w}}}}}'
 
 
 def final_line(trace: Trace) -> str:
@@ -469,7 +490,8 @@ def _not_an_integer(text: str):
 
 
 # Step lines hold integers only, so a register decodes to the same state
-# whichever of two equal records, such as [1, 0, 0] and [1.0, 0, 0], comes first.
+# whichever of two equal records, such as [1, 0, 0] and [1.0, 0, 0], comes
+# first; read_trace rejects a step line holding true or false (equal to 1 and 0).
 _STEP_JSON = json.JSONDecoder(parse_float=_not_an_integer, parse_constant=_not_an_integer)
 
 
@@ -522,6 +544,9 @@ def read_trace(path: str) -> Trace:
                     {int(p): _decode_decision(d, state) for p, d in raw["dec"].items()},
                 )
                 _check_step(record, adjacency)
+                for word in ("true", "false"):
+                    if word in line:
+                        _not_an_integer(word)
                 for p, decision in record.decisions.items():
                     if p in returned:
                         raise ValueError(f"node {p} moves after its return")

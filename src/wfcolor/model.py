@@ -184,6 +184,9 @@ class IdAssignment:
     def __post_init__(self) -> None:
         if self.kind not in ID_KINDS:
             raise ValueError(f"unknown id kind {self.kind!r}")
+        if list(map(type, self.ids)).count(int) != len(self.ids):  # no bool, float or numpy int
+            odd = next(x for x in self.ids if type(x) is not int)
+            raise ValueError(f"identifier {odd!r} is not an int")
         if min(self.ids, default=0) < 0:
             raise ValueError("identifiers must be naturals")
         if self.kind == UNIQUE and len(set(self.ids)) != len(self.ids):

@@ -380,6 +380,8 @@ def test_audit_of_a_broken_file_is_usage_error(tmp_path, capsys):
     lines = (tmp_path / "good.jsonl").read_text().splitlines()
     header, step, final = json.loads(lines[0]), json.loads(lines[1]), json.loads(lines[-1])
     out = final["out"]
+    step2 = json.loads(lines[2])
+    rd2, dec2 = step2["rd"], step2["dec"]
     path = tmp_path / "edited.jsonl"
     for i, edited, at, problem in (  # edit line i + 1, the error names line at
         (0, {**header, "horizon": "abc"}, 1, "field 'horizon' is not an integer: 'abc'"),
@@ -388,6 +390,18 @@ def test_audit_of_a_broken_file_is_usage_error(tmp_path, capsys):
         (1, {**step, "t": 7}, 2, "t 7 is not this line's step number 1"),
         (1, {**step, "w": {**step["w"], "0": [True, 0, 0]}}, 2,
          "register [True, 0, 0] holds a field that is not an integer"),
+        # [1, 1, 0] is written earlier on the line, so the read decodes from the memo
+        (2, {**step2, "rd": {**rd2, "0": [[True, 1, 0], rd2["0"][1]]}}, 3,
+         "true is not an integer"),
+        (1, {**step, "act": [0, True, 2]}, 2, "true is not an integer"),
+        (0, {**header, "ids": {**header["ids"], "values": [5, True, 9]}}, 1,
+         "identifier True is not an int"),
+        (2, {**step2, "dec": {**dec2, "1": ["ret", "x"]}}, 3,
+         "color 'x' is neither an integer nor a list of integers"),
+        (2, {**step2, "dec": {**dec2, "1": ["ret", [[1], 0]]}}, 3,
+         "color [[1], 0] is neither an integer nor a list of integers"),
+        (3, {**final, "out": {**out, "1": [True, 0]}}, 4,
+         "color [True, 0] is neither an integer nor a list of integers"),
         (0, {**header, "horizon": 1}, 3, "step 2 is past the header's horizon 1"),
         (3, {**final, "tstar": None}, 4, "tstar is null, but the steps stop at 2"),
         (3, {**final, "tstar": 1}, 4, "tstar 1 is not 2, the last step with a decision"),

@@ -1,13 +1,17 @@
+import gc
 import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import wfcolor
 from wfcolor.engine import (
     KERNEL_MIN_NODES,
+    StepRecord,
     TraceFileWriter,
     TraceHeader,
     default_horizon,
@@ -17,10 +21,18 @@ from wfcolor.engine import (
     read_trace,
     run,
     step,
+    step_line,
     write_trace,
 )
 from wfcolor.model import cycle, explicit_ids, monotone_chain_ids, random_connected_graph, random_unique_ids
-from wfcolor.protocols import Continue, ProtocolState, Return, initial_state, slow6_activate
+from wfcolor.protocols import (
+    INFINITE,
+    Continue,
+    ProtocolState,
+    Return,
+    initial_state,
+    slow6_activate,
+)
 from wfcolor.schedulers import CrashSched, ReplaySched, Scheduler, Synchronous, make_scheduler
 
 
@@ -387,6 +399,29 @@ def _write_record(record):
     return edit
 
 
+def _false_in_a_written_read(raw):
+    """Make false the last field, 0, of a read that its line also writes: the
+    read then decodes from the memo, where false equals 0."""
+    written = list(raw["w"].values())
+    views = next(v for v in raw["rd"].values() if v[0] in written and v[0][-1] == 0)
+    views[0] = views[0][:-1] + [False]
+
+
+def _true_for_one(raw):
+    raw["act"][raw["act"].index(1)] = True
+
+
+def _ret_color(color):
+    def mangle(lines, i):
+        j = next(j for j in range(1, len(lines) - 1) if '"ret"' in lines[j])
+        raw = json.loads(lines[j])
+        p = next(p for p, d in raw["dec"].items() if d[0] == "ret")
+        raw["dec"][p] = ["ret", color]
+        lines[j] = json.dumps(raw)
+        return j + 1
+    return mangle
+
+
 def _not_json(lines, i):
     lines[i] = lines[i][:-1]
     return i + 1
@@ -468,6 +503,13 @@ def _return_early(lines, i):
         (_edit_step(_write_record([3, None, 0, 0])), "holds a field that is not an integer"),
         (_edit_step(_write_record([3.5, 0, 0, 0])), "3.5 is not an integer"),
         (_edit_step(_write_record([True, 0, 0, 0])), "holds a field that is not an integer"),
+        (_edit_step(_false_in_a_written_read), "false is not an integer"),
+        (_edit_step(_true_for_one), "true is not an integer"),
+        (_ret_color("x"), "color 'x' is neither an integer nor a list of integers"),
+        (_ret_color([[0], 0]), "color [[0], 0] is neither an integer nor a list of integers"),
+        (_ret_color(True), "color True is neither an integer nor a list of integers"),
+        (_final_out(lambda out: out.update({"0": [1, False]})),
+         "color [1, False] is neither an integer nor a list of integers"),
         (_header_field("protocol", "slow7"), "unknown protocol 'slow7'"),
         (_header_field("horizon", "abc"), "field 'horizon' is not an integer: 'abc'"),
         (_header_field("horizon", -1), "field 'horizon' is negative: -1"),
@@ -488,7 +530,9 @@ def _return_early(lines, i):
          "output-outside-graph", "null-write", "one-view-read", "three-view-read",
          "mover-without-write", "mover-without-read", "mover-without-decision",
          "mover-not-activated", "nested-list-register", "string-field", "null-counter",
-         "float-field", "bool-field", "unknown-protocol", "string-horizon",
+         "float-field", "bool-field", "memoized-false-read", "true-activation",
+         "string-color", "nested-color", "bool-color", "bool-output",
+         "unknown-protocol", "string-horizon",
          "negative-horizon", "misnumbered-step",
          "string-tstar", "tstar-after-last-step", "negative-tstar", "steps-past-horizon",
          "null-tstar-before-horizon", "tstar-not-last-move", "move-after-return",
@@ -528,6 +572,123 @@ def test_streaming_writer_equals_batch_writer(tmp_path):
     full = run(ex, scheduler, 300, seed=6)
     write_trace(full, str(batch))
     assert streamed.read_bytes() == batch.read_bytes()
+
+
+def _json_step_line(record):
+    """The step line as json.dumps wrote it before step_line built text."""
+    def register(rec):
+        if rec is None:
+            return None
+        if rec.r is None:
+            return [rec.x, rec.a, rec.b]
+        return [rec.x, "inf" if rec.r == INFINITE else rec.r, rec.a, rec.b]
+
+    def decision(d):
+        if isinstance(d, Return):
+            return ["ret", list(d.color) if isinstance(d.color, tuple) else d.color]
+        return ["cont", register(d.state)]
+
+    return json.dumps(
+        {
+            "t": record.t,
+            "act": list(record.activated),
+            "w": {str(p): register(rec) for p, rec in record.writes.items()},
+            "rd": {str(p): [register(v) for v in views] for p, views in record.reads.items()},
+            "dec": {str(p): decision(d) for p, d in record.decisions.items()},
+        },
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+
+
+def _schedule(kind, n, seed):
+    rng = random.Random(seed)
+    if kind == "crash":
+        return f"crash:{rng.randrange(n)}@{rng.randrange(4)};rand:0.6:{seed}"
+    if kind == "replay":
+        sets = [",".join(str(p) for p in range(n) if rng.random() < 0.5)
+                for _ in range(rng.randrange(1, 30))]
+        return f"replay:@{'|'.join(sets)}"
+    return kind if kind in ("sync", "rr") else f"rand:0.5:{seed}"
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    protocol=st.sampled_from(["slow6", "slow5", "fast5", "deltasq"]),
+    n=st.integers(3, 40),
+    kind=st.sampled_from(["sync", "rr", "rand", "crash", "replay"]),
+    seed=st.integers(0, 10**6),
+    degree3=st.booleans(),
+)
+def test_step_line_writes_what_json_dumps_wrote(protocol, n, kind, seed, degree3):
+    if protocol == "deltasq" and degree3:
+        g = random_connected_graph(n, 3, seed=seed)
+    else:
+        g = cycle(n)
+    ex = new_execution(g, random_unique_ids(g, seed=seed), protocol)
+    trace = run(ex, make_scheduler(_schedule(kind, n, seed), n), default_horizon(protocol, n))
+    for record in trace.steps:
+        assert step_line(record) == _json_step_line(record)
+
+
+def test_step_line_sorts_two_digit_keys_and_writes_frozen_counters():
+    # the cases that the differential test above should meet, met for sure
+    g = cycle(12)
+    trace = run(new_execution(g, monotone_chain_ids(12), "fast5"), make_scheduler("sync", 12), 400)
+    lines = [step_line(record) for record in trace.steps]
+    assert lines == [_json_step_line(record) for record in trace.steps]
+    assert lines[0].startswith('{"act":[0,1,2,3,4,5,6,7,8,9,10,11],"dec":{"0":')
+    assert lines[0].index('"10":') < lines[0].index('"2":')
+    assert any('"inf"' in line for line in lines)
+
+
+def test_step_line_writes_kernel_records_as_json_dumps_did():
+    pytest.importorskip("numpy")
+    n = KERNEL_MIN_NODES
+    g = cycle(n)
+    for protocol in ("slow6", "slow5", "fast5"):
+        lines = []
+
+        def observer(record):
+            assert not isinstance(record, StepRecord)  # the kernel ran
+            lines.append((step_line(record), _json_step_line(record)))
+
+        ex = new_execution(g, random_unique_ids(g, seed=4), protocol)
+        run(ex, make_scheduler("rand:0.5:4", n), default_horizon(protocol, n),
+            observers=[observer], keep_steps=False)
+        assert lines and all(text == dumped for text, dumped in lines)
+
+
+@pytest.mark.parametrize("protocol", ["slow6", "fast5"])
+def test_a_read_trace_writes_back_the_same_bytes(tmp_path, protocol):
+    g = cycle(11)  # node keys 10 and 2 sort as strings
+    ex = new_execution(g, random_unique_ids(g, seed=11), protocol)
+    first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+    write_trace(run(ex, make_scheduler("rand:0.5:3", 11), 400, seed=3), str(first))
+    write_trace(read_trace(str(first)), str(second))
+    assert second.read_bytes() == first.read_bytes()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_a_run_that_keeps_records_leaves_the_collector_as_it_found_it(enabled):
+    def paused(record):
+        seen.append(gc.isenabled())
+
+    def failing(record):
+        raise RuntimeError("observer failed")
+
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        seen = []
+        run(triangle_execution(), make_scheduler("sync", 3), 100, observers=[paused])
+        assert seen and not any(seen)
+        assert gc.isenabled() is enabled
+        with pytest.raises(RuntimeError, match="observer failed"):
+            run(triangle_execution(), make_scheduler("sync", 3), 100, observers=[failing])
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_header_line_round_trip():

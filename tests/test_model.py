@@ -299,3 +299,10 @@ def test_id_assignment_rejects_negative_ids():
     with pytest.raises(ValueError, match="identifiers must be naturals"):
         IdAssignment((3, -1, 2), model.PROPER)
     assert IdAssignment((), model.UNIQUE).ids == ()
+
+
+@pytest.mark.parametrize("first", [True, 1.5])
+def test_id_assignment_rejects_ids_that_are_not_ints(first):
+    # a run would write True or 1.5 into its trace, which read_trace refuses
+    with pytest.raises(ValueError, match=f"identifier {first!r} is not an int"):
+        explicit_ids(cycle(3), [first, 2, 3])
