@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Callable, IO, Iterable, NamedTuple, Sequence
 
 from .model import Graph, IdAssignment, from_edges
@@ -218,11 +218,13 @@ def run(
 ) -> Trace:
     """Drive a fresh execution under a scheduler for at most horizon steps.
 
-    Stops early once no process the scheduler can still activate is working;
-    the trace then reports the last time a working process was activated as
-    tstar. Running out of horizon is reported, not raised. An execution that
-    has already taken a step is refused: the trace numbers its steps, counts
-    activations and reads tstar from step 1, so it would disagree with itself.
+    Stops early once no process the scheduler can still activate is working,
+    that is once every node of the scheduler's support_after(t + 1) has
+    returned (every node, when it answers None); the trace then reports the
+    last time a working process was activated as tstar. Running out of
+    horizon is reported, not raised. An execution that has already taken a
+    step is refused: the trace numbers its steps, counts activations and
+    reads tstar from step 1, so it would disagree with itself.
 
     A run keeping no step records of a cycle protocol on KERNEL_MIN_NODES
     nodes or more, every identifier below KERNEL_ID_LIMIT, goes to the numpy
@@ -296,13 +298,15 @@ def _run_steps(
 ) -> int | None:
     """run's reference loop; returns tstar, or None when the horizon ran out."""
     recording = steps is not None or bool(observers)
+    returned, n = execution.returned, execution.graph.node_count
     for t in range(1, horizon + 1):
         record = execution.apply_step(scheduler.at(t), record=recording)
         if steps is not None:
             steps.append(record)
         for observer in observers:
             observer(record)
-        if execution.returned.keys() >= scheduler.support_after(t + 1):
+        support = scheduler.support_after(t + 1)  # None: every node
+        if len(returned) == n if support is None else returned.keys() >= support:
             return execution.last_move
     return None
 
@@ -435,7 +439,14 @@ def parse_header(line: str) -> TraceHeader:
     type is wrong."""
     try:
         raw = json.loads(line)
-        graph = from_edges(raw["graph"]["n"], [tuple(e) for e in raw["graph"]["edges"]])
+        n, edges = raw["graph"]["n"], [tuple(e) for e in raw["graph"]["edges"]]
+        if type(n) is not int:  # a bool would pass as 0 or 1
+            raise ValueError(f"trace header field 'graph.n' is not an integer: {n!r}")
+        ends = list(map(type, chain.from_iterable(edges)))
+        if ends.count(int) != len(ends):
+            odd = next(v for v in chain.from_iterable(edges) if type(v) is not int)
+            raise ValueError(f"trace header field 'graph.edges' holds {odd!r}, not an integer")
+        graph = from_edges(n, edges)
         ids = IdAssignment(tuple(raw["ids"]["values"]), raw["ids"]["kind"])
         sched, seed, horizon = raw["sched"], raw["seed"], raw["horizon"]
         if type(sched) is not str:

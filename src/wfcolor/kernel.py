@@ -8,7 +8,8 @@ writes the movers' columns into the register table, gathers each mover's
 two neighbor registers through a (2, n) adjacency array and applies the
 protocol's transition to all movers at once. `cv_reduce` gets bit lengths
 from `np.frexp`, which is exact below 2**53, and the least color missing
-from a bitmask is a table lookup.
+from a bitmask is a table lookup. Sync, rand and crash schedules reach a
+step as bool masks built without a node set (see `_activation_masks`).
 
 Observers get one `_Record` per step, read by field name (it is not a tuple).
 It holds the step's arrays and builds each StepRecord field on first read, so
@@ -30,7 +31,7 @@ import numpy as np
 
 from .engine import Execution
 from .protocols import FAST5, INFINITE, SLOW5, SLOW6, Continue, Return, mex, new_states
-from .schedulers import RandomSched, Scheduler, random_stream
+from .schedulers import CrashSched, RandomSched, Scheduler, Synchronous, random_stream
 
 X, A, B, R = range(4)  # the rows of a state or register table
 _MEX = np.array([mex(c for c in range(6) if m >> c & 1) for m in range(64)], dtype=np.int64)
@@ -130,8 +131,8 @@ def _colors(rows: np.ndarray) -> list:
 
 
 class _Masks:
-    """Bool masks of node sets. The last set converted is kept, since sync
-    and support_after hand over the same frozenset at every step."""
+    """Bool masks of node sets. The last set converted is kept, since
+    support_after hands over the same frozenset until its answer changes."""
 
     def __init__(self, n: int):
         self._n = n
@@ -146,10 +147,27 @@ class _Masks:
 
 
 def _activation_masks(scheduler: Scheduler, n: int):
-    """t -> sigma(t) as a bool mask. A rand: schedule's draws come from one
-    reused RandomState loaded with the state of random_stream(seed, t): both
-    generators build a double from two 32-bit words the same way."""
+    """t -> sigma(t) as a bool mask. Sync is one all-true mask. A rand:
+    schedule's draws come from one reused RandomState loaded with the state
+    of random_stream(seed, t): both generators build a double from two
+    32-bit words the same way. A crash schedule clears, in a copy of its
+    base's mask, each node whose crash time t has reached."""
     d = scheduler.descriptor
+    if isinstance(d, Synchronous):
+        every = np.ones(n, dtype=bool)
+        return lambda t: every
+    if isinstance(d, CrashSched):
+        base = _activation_masks(scheduler._base, n)
+
+        def crashed(t: int) -> np.ndarray:
+            mask = base(t)
+            dead = [node for node, start in d.crash_times if t >= start]
+            if dead:
+                mask = mask.copy()
+                mask[dead] = False
+            return mask
+
+        return crashed
     if isinstance(d, RandomSched):
         generator = np.random.RandomState()
 
@@ -204,7 +222,10 @@ def run(execution: Execution, scheduler: Scheduler, horizon: int, observers=()) 
     step's record, and set in the execution only what the trace reports.
     Returns tstar, or None when the horizon ran out. The tables start from
     the ids alone, as the execution is fresh: every state initial, every
-    register unwritten and every node working."""
+    register unwritten and every node working. The run stops once no node
+    of the scheduler's support_after(t + 1) is working; a None support
+    stands for every node, so the run then asks working.any(), and only a
+    support that is a set is converted to a mask."""
     protocol = execution.protocol
     transition = _TRANSITIONS[protocol]
     n = execution.graph.node_count
@@ -241,7 +262,8 @@ def run(execution: Execution, scheduler: Scheduler, horizon: int, observers=()) 
             record = _Record(t, protocol, active, movers, pre, view, returns, colors, new)
             for observer in observers:
                 observer(record)
-        if not (working & support_mask(scheduler.support_after(t + 1))).any():
+        support = scheduler.support_after(t + 1)  # None: every node
+        if not (working if support is None else working & support_mask(support)).any():
             terminated = True
             break
 

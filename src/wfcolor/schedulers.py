@@ -16,6 +16,11 @@ Descriptor text forms (used in trace headers and on the command line):
 Schedule files hold one step per line: space-separated node indices, a blank
 line for an empty set; lines starting with '#' are comments. A descriptor
 formats its replay sets inline, so a trace header never names a file.
+
+No scheduler holds a set of all n nodes up front. `support_after` answers
+None for "every node may still be activated" (sync, rr, rand, and a crash
+schedule before its first crash time), and only sync's `at` builds the set
+of all nodes, on its first call.
 """
 
 from __future__ import annotations
@@ -153,7 +158,7 @@ class Scheduler:
         self.descriptor = descriptor
         self.node_count = node_count
         self.text = format_descriptor(descriptor)
-        self._all = frozenset(range(node_count))
+        self._all = None  # sync's sigma(t), built by the first call of at
         if isinstance(descriptor, RandomSched):
             if not 0 < descriptor.p_act <= 1:
                 raise ValueError(f"activation probability {descriptor.p_act} not in (0,1]")
@@ -164,6 +169,9 @@ class Scheduler:
                 if t < 0:
                     raise ValueError(f"crash time {t} is negative")
             self._base = Scheduler(descriptor.base, node_count)
+            # support_after's last set, with the base support and crash count it came from
+            self._support = self._support_base = None
+            self._passed = 0
         if isinstance(descriptor, ReplaySched):
             for s in descriptor.sets:
                 for p in s:
@@ -179,6 +187,8 @@ class Scheduler:
         """The activation set sigma(t), t >= 1."""
         d = self.descriptor
         if isinstance(d, Synchronous):
+            if self._all is None:
+                self._all = frozenset(range(self.node_count))
             return self._all
         if isinstance(d, RoundRobin):
             return frozenset((t % self.node_count,))
@@ -197,16 +207,30 @@ class Scheduler:
             return d.sets[t - 1] if 0 < t <= len(d.sets) else frozenset()
         raise ValueError(f"unknown descriptor {d!r}")
 
-    def support_after(self, t: int) -> frozenset[int]:
-        """Nodes that may still appear in sigma(t') for some t' >= t."""
+    def support_after(self, t: int) -> frozenset[int] | None:
+        """Nodes that may still appear in sigma(t') for some t' >= t, or None
+        when every node may.
+
+        A crash schedule answers the very same frozenset from one crash time
+        to the next (while its base's answer is the same object), so the
+        kernel, which converts a set to a mask once per object, does so once
+        per crash time.
+        """
         d = self.descriptor
         if isinstance(d, CrashSched):
-            dead = frozenset(node for node, start in d.crash_times if t >= start)
-            return self._base.support_after(t) - dead
+            base = self._base.support_after(t)
+            passed = sum(t >= start for _, start in d.crash_times)
+            if not passed:
+                return base
+            if base is not self._support_base or passed != self._passed:
+                dead = {node for node, start in d.crash_times if t >= start}
+                alive = frozenset(range(self.node_count)) if base is None else base
+                self._support, self._support_base, self._passed = alive - dead, base, passed
+            return self._support
         if isinstance(d, ReplaySched):
             index = min(max(t - 1, 0), len(d.sets))
             return self._suffix[index]
-        return self._all
+        return None
 
 
 def random_stream(seed: int, t: int) -> random.Random:

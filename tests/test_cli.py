@@ -379,7 +379,8 @@ def test_audit_of_a_broken_file_is_usage_error(tmp_path, capsys):
     assert str(path) in capsys.readouterr().err
     lines = (tmp_path / "good.jsonl").read_text().splitlines()
     header, step, final = json.loads(lines[0]), json.loads(lines[1]), json.loads(lines[-1])
-    out = final["out"]
+    out, edges = final["out"], header["graph"]["edges"]
+    assert edges[0] == [0, 1]
     step2 = json.loads(lines[2])
     rd2, dec2 = step2["rd"], step2["dec"]
     path = tmp_path / "edited.jsonl"
@@ -387,6 +388,10 @@ def test_audit_of_a_broken_file_is_usage_error(tmp_path, capsys):
         (0, {**header, "horizon": "abc"}, 1, "field 'horizon' is not an integer: 'abc'"),
         (0, {**header, "horizon": 2.5}, 1, "field 'horizon' is not an integer: 2.5"),
         (0, {**header, "sched": 5}, 1, "field 'sched' is not a string: 5"),
+        (0, {**header, "graph": {**header["graph"], "edges": [[False, True], *edges[1:]]}}, 1,
+         "field 'graph.edges' holds False, not an integer"),
+        (0, {**header, "graph": {**header["graph"], "n": True}}, 1,
+         "field 'graph.n' is not an integer: True"),
         (1, {**step, "t": 7}, 2, "t 7 is not this line's step number 1"),
         (1, {**step, "w": {**step["w"], "0": [True, 0, 0]}}, 2,
          "register [True, 0, 0] holds a field that is not an integer"),

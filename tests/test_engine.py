@@ -436,6 +436,20 @@ def _header_field(name, value):
     return mangle
 
 
+def _header_graph(name, value):
+    """Set the header's graph field name, or its first edge for "edge"."""
+    def mangle(lines, i):
+        raw = json.loads(lines[0])
+        if name == "edge":
+            assert raw["graph"]["edges"][0] == [0, 1]
+            raw["graph"]["edges"][0] = value
+        else:
+            raw["graph"][name] = value
+        lines[0] = json.dumps(raw)
+        return 1
+    return mangle
+
+
 def _final_without_out(lines, i):
     raw = json.loads(lines[-1])
     del raw["out"]
@@ -513,6 +527,8 @@ def _return_early(lines, i):
         (_header_field("protocol", "slow7"), "unknown protocol 'slow7'"),
         (_header_field("horizon", "abc"), "field 'horizon' is not an integer: 'abc'"),
         (_header_field("horizon", -1), "field 'horizon' is negative: -1"),
+        (_header_graph("edge", [False, True]), "field 'graph.edges' holds False, not an integer"),
+        (_header_graph("n", 4.0), "field 'graph.n' is not an integer: 4.0"),
         (_edit_step(lambda raw: raw.update(t=99)), "t 99 is not this line's step number"),
         (_final_tstar("soon"), "tstar 'soon' is neither null nor a step from 0 to"),
         (_final_tstar(99), "tstar 99 is neither null nor a step from 0 to"),
@@ -533,7 +549,7 @@ def _return_early(lines, i):
          "float-field", "bool-field", "memoized-false-read", "true-activation",
          "string-color", "nested-color", "bool-color", "bool-output",
          "unknown-protocol", "string-horizon",
-         "negative-horizon", "misnumbered-step",
+         "negative-horizon", "bool-edge", "float-node-count", "misnumbered-step",
          "string-tstar", "tstar-after-last-step", "negative-tstar", "steps-past-horizon",
          "null-tstar-before-horizon", "tstar-not-last-move", "move-after-return",
          "output-differs-from-return", "return-missing-from-out"],

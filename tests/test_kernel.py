@@ -44,10 +44,11 @@ def make_ids(graph, kind, seed):
 
 
 @st.composite
-def schedules(draw, n):
+def schedules(draw, n, crash_depth=2):
+    """A schedule text; a crash wraps any schedule, crashes up to crash_depth deep."""
     p = draw(st.sampled_from([0.3, 0.5, 1.0]))
     seed = draw(st.integers(0, 10**6))
-    kind = draw(st.sampled_from(["sync", "rr", "rand", "crash", "replay"]))
+    kind = draw(st.sampled_from(["sync", "rr", "rand", "replay"] + ["crash"] * (crash_depth > 0)))
     if kind in ("sync", "rr"):
         return kind
     if kind == "rand":
@@ -55,7 +56,8 @@ def schedules(draw, n):
     if kind == "crash":
         crashes = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, 8)),
                                 min_size=1, max_size=3))
-        return "crash:" + ",".join(f"{q}@{t}" for q, t in crashes) + f";rand:{p}:{seed}"
+        base = draw(schedules(n, crash_depth - 1))
+        return "crash:" + ",".join(f"{q}@{t}" for q, t in crashes) + f";{base}"
     sets = draw(st.lists(st.frozensets(st.integers(0, n - 1)), max_size=40))
     return "replay:@" + "|".join(",".join(map(str, sorted(s))) for s in sets)
 
@@ -116,11 +118,13 @@ def test_a_kernel_run_records_only_what_the_trace_reports(text):
     graph = cycle(n)
     ids = random_unique_ids(graph, seed=2)
     ker, ref = new_execution(graph, ids, "fast5"), new_execution(graph, ids, "fast5")
-    trace = engine.run(ker, make_scheduler(text, n), 400, keep_steps=False)
+    scheduler = make_scheduler(text, n)
+    trace = engine.run(ker, scheduler, 400, keep_steps=False)
     tstar = engine._run_steps(ref, make_scheduler(text, n), 400, (), None)
     assert trace.tstar == tstar is not None
     assert ker.registers == [None] * n
     assert ker._states is None  # the states were never built
+    assert scheduler._all is None  # nor the set of all nodes
     for name in STATE:
         assert getattr(ker, name) == getattr(ref, name), name
     assert list(ker.returned) == list(ref.returned)
@@ -130,22 +134,23 @@ def test_run_routes_a_large_cycle_to_the_kernel_with_identical_trace_bytes(monke
     n = engine.KERNEL_MIN_NODES
     graph = cycle(n)
     ids = random_unique_ids(graph, seed=5)
-    text = "rand:0.5:9"
     calls = []
     real_run = kernel.run
     monkeypatch.setattr(kernel, "run", lambda *args: calls.append(1) or real_run(*args))
-    written = []
-    for keep_steps in (True, False):
-        buffer = io.StringIO()
-        execution = new_execution(graph, ids, "fast5")
-        scheduler = make_scheduler(text, n)
-        writer = TraceFileWriter(buffer, TraceHeader(graph, ids, "fast5", text, 4, 400))
-        trace = engine.run(execution, scheduler, 400, [writer], keep_steps=keep_steps, seed=4)
-        writer.finish(trace)
-        written.append(buffer.getvalue())
-    assert calls == [1]  # only the run that keeps no steps
-    assert trace.terminated
-    assert written[0] == written[1]
+    for text in ("rand:0.5:9", "crash:5@3,77@1;rand:0.5:9", "crash:5@3;sync"):
+        written = []
+        for keep_steps in (True, False):
+            buffer = io.StringIO()
+            execution = new_execution(graph, ids, "fast5")
+            scheduler = make_scheduler(text, n)
+            writer = TraceFileWriter(buffer, TraceHeader(graph, ids, "fast5", text, 4, 400))
+            trace = engine.run(execution, scheduler, 400, [writer], keep_steps=keep_steps, seed=4)
+            writer.finish(trace)
+            written.append(buffer.getvalue())
+        assert calls == [1], text  # only the run that keeps no steps
+        assert trace.terminated, text
+        assert written[0] == written[1], text
+        calls.clear()
 
 
 @pytest.mark.parametrize("p", [0.3, 0.5, 1.0])

@@ -172,6 +172,28 @@ def test_replay_inline_sets():
     assert s.at(9) == frozenset()
 
 
+@pytest.mark.parametrize("text", ["sync", "rr", "rand:0.5:3", "crash:0@4,2@7;sync",
+                                  "crash:1@6;crash:0@4;rand:0.5:3"])
+def test_support_is_none_while_every_node_may_still_be_activated(text):
+    s = make_scheduler(text, 3)
+    assert [s.support_after(t) for t in range(4)] == [None] * 4
+
+
+def test_crash_support_is_one_set_between_crash_times():
+    for text in ("crash:0@4,2@7;sync", "crash:0@4,2@7;rand:0.5:3", "crash:2@7;crash:0@4;rr"):
+        s = make_scheduler(text, 3)
+        first = s.support_after(4)
+        assert first == frozenset({1, 2})
+        assert all(s.support_after(t) is first for t in range(5, 7))
+        second = s.support_after(7)
+        assert second == frozenset({1})
+        assert all(s.support_after(t) is second for t in range(8, 40))
+    s = make_scheduler("crash:2@2;replay:@0,1,2|0,2|1", 3)
+    assert s.support_after(1) == frozenset({0, 1, 2})
+    assert s.support_after(2) is s.support_after(2) == frozenset({0, 1})
+    assert s.support_after(3) == frozenset({1})
+
+
 def test_replay_support_shrinks():
     s = Scheduler(ReplaySched((frozenset({0, 1}), frozenset({2}), frozenset({0}))), 3)
     assert s.support_after(1) == frozenset({0, 1, 2})
