@@ -7,10 +7,10 @@ fresh values), and finally each applies its protocol transition. Activating
 a process that has already returned is a silent no-op; its register stays
 frozen at the last written value and remains readable.
 
-`step` is the one definition of that semantics: `Execution.apply_step` and
-the exhaustive model checker both call it. `kernel.py` restates it on numpy
-arrays for large cycles, where `run` hands it the run; tests/test_kernel.py
-checks that restatement against `step`.
+`step` is the one definition of that semantics: `Execution.apply_step`,
+run's no-record loop and the exhaustive model checker call it. `kernel.py`
+restates it on numpy arrays for large cycles, where `run` hands it the run;
+tests/test_kernel.py checks that restatement against `step`.
 
 An execution is its registers, states (built on first read), returns,
 activation counts and step count. `run` takes a fresh execution only, so a
@@ -114,6 +114,19 @@ class Execution:
     def all_returned(self) -> bool:
         return len(self.returned) == self.graph.node_count
 
+    def _moved(self, movers: Sequence[int], decisions: Sequence[Decision]) -> None:
+        """Count one step whose movers took these decisions: the step count,
+        last_move, each mover's activation and each return."""
+        self._t += 1
+        if movers:
+            self.last_move = self._t
+        activations = self.activations
+        returned = self.returned
+        for p, decision in zip(movers, decisions):
+            activations[p] += 1
+            if type(decision) is Return:
+                returned[p] = decision.color
+
     def apply_step(self, activated: Iterable[int], record: bool = True) -> StepRecord | None:
         """Run one simultaneous step for the given activation set.
 
@@ -126,18 +139,10 @@ class Execution:
         # an unknown node never returns, so the least and greatest mover bound it
         if movers and (movers[0] < 0 or movers[-1] >= self.graph.node_count):
             raise ValueError(f"unknown node index {movers[0] if movers[0] < 0 else movers[-1]}")
-        self._t += 1
-        if movers:
-            self.last_move = self._t
         views, decisions = step(
             self.registers, self.states, movers, self.graph.adjacency, self._activate
         )
-        activations = self.activations
-        returned = self.returned
-        for p, decision in zip(movers, decisions):
-            activations[p] += 1
-            if type(decision) is Return:
-                returned[p] = decision.color
+        self._moved(movers, decisions)
         if not record:
             return None
         writes = {p: self.registers[p] for p in movers}
@@ -251,7 +256,7 @@ def run(
         with CollectorPaused():
             tstar = _run_steps(execution, scheduler, horizon, observers, steps)
     else:
-        kernel = _kernel(execution)
+        kernel = _kernel(execution, scheduler)
         if kernel is not None:
             tstar = kernel.run(execution, scheduler, horizon, observers)
         else:
@@ -273,14 +278,23 @@ def run(
     )
 
 
-def _kernel(execution: Execution):
-    """The kernel module when it may run this execution, else None."""
+def _kernel(execution: Execution, scheduler):
+    """The kernel module when it may run this execution under this scheduler,
+    else None. It refuses rr, and a crash schedule over rr: a kernel step
+    costs O(n) however few nodes move, and rr moves one."""
     ids = execution.ids.ids  # naturals, as IdAssignment checks
     if (
         execution.protocol not in CYCLE_ONLY
         or len(ids) < KERNEL_MIN_NODES
         or max(ids) >= KERNEL_ID_LIMIT
     ):
+        return None
+    from .schedulers import CrashSched, RoundRobin  # schedulers imports this module
+
+    base = scheduler.descriptor
+    while isinstance(base, CrashSched):
+        base = base.base
+    if isinstance(base, RoundRobin):
         return None
     try:
         from . import kernel
@@ -296,16 +310,34 @@ def _run_steps(
     observers: Sequence[Callable[[StepRecord], None]],
     steps: list[StepRecord] | None,
 ) -> int | None:
-    """run's reference loop; returns tstar, or None when the horizon ran out."""
-    recording = steps is not None or bool(observers)
+    """run's reference loop; returns tstar, or None when the horizon ran out.
+
+    With no records to keep and no observers, each step calls step directly
+    on the execution's registers and states, bound once, with the movers
+    sorted(at(t) - returned): apply_step's copy of the activation set, its
+    range check and its record flag are per-call work that such a run does
+    not need, since run checks the scheduler's node count and schedulers
+    check their nodes. Both loops count the step with Execution._moved.
+    """
     returned, n = execution.returned, execution.graph.node_count
+    at, support_after = scheduler.at, scheduler.support_after
+    if steps is None and not observers:
+        registers, states, moved = execution.registers, execution.states, execution._moved
+        adjacency, activate = execution.graph.adjacency, execution._activate
+        for t in range(1, horizon + 1):
+            movers = sorted(at(t).difference(returned))
+            moved(movers, step(registers, states, movers, adjacency, activate)[1])
+            support = support_after(t + 1)  # None: every node
+            if len(returned) == n if support is None else returned.keys() >= support:
+                return execution.last_move
+        return None
     for t in range(1, horizon + 1):
-        record = execution.apply_step(scheduler.at(t), record=recording)
+        record = execution.apply_step(at(t))
         if steps is not None:
             steps.append(record)
         for observer in observers:
             observer(record)
-        support = scheduler.support_after(t + 1)  # None: every node
+        support = support_after(t + 1)
         if len(returned) == n if support is None else returned.keys() >= support:
             return execution.last_move
     return None

@@ -21,6 +21,9 @@ No scheduler holds a set of all n nodes up front. `support_after` answers
 None for "every node may still be activated" (sync, rr, rand, and a crash
 schedule before its first crash time), and only sync's `at` builds the set
 of all nodes, on its first call.
+
+A rand: scheduler on fewer than KERNEL_MIN_NODES nodes reads sigma(t) from a
+process-wide memo of activation sets keyed by (seed, p, n); see _rand_sets.
 """
 
 from __future__ import annotations
@@ -159,6 +162,7 @@ class Scheduler:
         self.node_count = node_count
         self.text = format_descriptor(descriptor)
         self._all = None  # sync's sigma(t), built by the first call of at
+        self._sets = None  # rand:'s memo entry, bound by the first call of at
         if isinstance(descriptor, RandomSched):
             if not 0 < descriptor.p_act <= 1:
                 raise ValueError(f"activation probability {descriptor.p_act} not in (0,1]")
@@ -186,19 +190,18 @@ class Scheduler:
     def at(self, t: int) -> frozenset[int]:
         """The activation set sigma(t), t >= 1."""
         d = self.descriptor
+        if isinstance(d, RandomSched):
+            sets = self._sets
+            if sets is None:
+                sets = self._sets = _rand_sets(d.seed, d.p_act, self.node_count)
+            found = sets.get(t)
+            return _draw_set(d, self.node_count, t, sets) if found is None else found
         if isinstance(d, Synchronous):
             if self._all is None:
                 self._all = frozenset(range(self.node_count))
             return self._all
         if isinstance(d, RoundRobin):
             return frozenset((t % self.node_count,))
-        if isinstance(d, RandomSched):
-            n, p = self.node_count, d.p_act
-            draws = _draws(d.seed, t, n) if n < KERNEL_MIN_NODES else None
-            if draws is None:
-                draw = random_stream(d.seed, t).random
-                return frozenset([i for i in range(n) if draw() < p])
-            return frozenset([i for i in range(n) if draws[i] < p])
         if isinstance(d, CrashSched):
             alive = self._base.at(t)
             dead = {node for node, start in d.crash_times if t >= start}
@@ -239,48 +242,72 @@ def random_stream(seed: int, t: int) -> random.Random:
     return random.Random(f"rand:{seed}:{t}")
 
 
-# (seed, t) -> the first draws of random_stream(seed, t), or () after the
-# pair's first use; see _draws
-_DRAWS: dict[tuple[int, int], tuple[float, ...]] = {}
-_DRAWS_CAP = 1 << 16
-_held = 0  # the entries in _DRAWS plus the draws they hold
+# (seed, p, n) -> {t: sigma(t)} of rand:<p>:<seed> on n nodes, or None after
+# the key's first use; see _rand_sets
+_SETS: dict[tuple[int, float, int], dict[int, frozenset[int]] | None] = {}
+_INTERNED: dict[frozenset[int], frozenset[int]] = {}  # each distinct stored set, once
+_SETS_CAP = 1 << 16
+_units = 0  # the keys and stored steps in _SETS, plus 1 + len(s) per set s in _INTERNED
+_UNSTORED: dict[int, frozenset[int]] = {}  # stays empty: its holder draws every step
 
 
-def _draws(seed: int, t: int, n: int) -> tuple[float, ...] | None:
-    """At least the first n draws of random_stream(seed, t), or None the
-    first time the pair is asked for: the caller then draws from the stream.
+def _rand_sets(seed: int, p: float, n: int) -> dict[int, frozenset[int]]:
+    """The memo entry that a rand:<p>:<seed> scheduler on n nodes reads and
+    _draw_set fills, or _UNSTORED on the key's first use and from
+    KERNEL_MIN_NODES nodes on.
 
-    Seeding a stream from its string costs about 10 us, more than drawing a
-    small graph's n floats. Sweeps over id sets and sizes reuse the same few
-    (seed, t) pairs, so from a pair's second use on its draws come from this
-    memo. A first use only marks the pair: `wfcolor sweep` reseeds every
-    trial, and keeping the draws of pairs that never recur cost it about 9%.
-    An entry is a function of its key alone, so every caller reads what it
-    would have drawn. An entry asked for more draws than it holds is drawn
-    again from a fresh stream: the draws are a prefix, so the longer tuple
-    replaces it. The memo holds at most _DRAWS_CAP = 2**16 entries and
-    draws together and is cleared when it would pass that; its worst case,
-    marks only, is about 8 MB (2.5 MB at 16 draws per entry). Scheduler.at
-    asks only for fewer than KERNEL_MIN_NODES nodes, where n draws cost
-    more than the seed.
+    Seeding a stream from its string costs about 10 us, more than building a
+    small graph's set. Sweeps over id sets and sizes run the same few
+    descriptors again and again, so from a key's second use on its sets are
+    kept, one per step, and read back. A first use only marks the key:
+    `wfcolor sweep` reseeds every trial, so it stores nothing. Equal sets
+    are interned, so that keys and steps share one object. An entry is a
+    function of its key alone, so every caller reads what it would have
+    drawn. The memo counts its keys, its stored steps and 1 + len(s) for
+    each interned set s, at most _SETS_CAP = 2**16 units, and is cleared
+    when it would pass that; a scheduler bound to an entry before a clear
+    reads what it holds and stores no more. Its worst case, marks only, is
+    about 9 MB. From KERNEL_MIN_NODES nodes on a set costs more to keep
+    than to draw.
     """
-    global _held
-    key = (seed, t)
-    draws = _DRAWS.get(key)
-    if draws is None:
-        fresh, grow = (), 1
-    elif len(draws) >= n:
-        return draws
-    else:
-        draw = random_stream(seed, t).random
-        fresh = tuple([draw() for _ in range(n)])
-        grow = n - len(draws)
-    _held += grow
-    if _held > _DRAWS_CAP:
-        _DRAWS.clear()
-        _held = 1 + len(fresh)
-    _DRAWS[key] = fresh
-    return fresh or None
+    global _units
+    if n >= KERNEL_MIN_NODES:
+        return _UNSTORED
+    key = (seed, p, n)
+    sets = _SETS.get(key, _UNSTORED)
+    if sets is _UNSTORED:
+        if _units >= _SETS_CAP:
+            _clear_sets()
+        _units += 1
+        _SETS[key] = None
+    elif sets is None:
+        sets = _SETS[key] = {}
+    return sets
+
+
+def _draw_set(d: RandomSched, n: int, t: int, sets: dict[int, frozenset[int]]) -> frozenset[int]:
+    """sigma(t) of d on n nodes from its stream, kept in sets while sets is
+    the memo's entry for its key."""
+    global _units
+    draw, p = random_stream(d.seed, t).random, d.p_act
+    drawn = frozenset([i for i in range(n) if draw() < p])
+    if _SETS.get((d.seed, p, n)) is not sets:  # _UNSTORED, or cleared since it was bound
+        return drawn
+    shared = _INTERNED.get(drawn)
+    units = 1 if shared is not None else 2 + len(drawn)
+    if _units + units > _SETS_CAP:
+        _clear_sets()
+        return drawn
+    _units += units
+    sets[t] = shared = _INTERNED.setdefault(drawn, drawn)
+    return shared
+
+
+def _clear_sets() -> None:
+    global _units
+    _SETS.clear()
+    _INTERNED.clear()
+    _units = 0
 
 
 def make_scheduler(descriptor: Descriptor | str, node_count: int) -> Scheduler:

@@ -1,10 +1,14 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
+import wfcolor
 from wfcolor import analysis
 from wfcolor.cli import ExperimentConfig, main
 from wfcolor.engine import new_execution, run, write_trace
@@ -560,3 +564,14 @@ def test_every_argument_list_exits_0_1_or_2(cli_dir, command, trace, protocol, n
     event(f"exit {code}")
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+
+
+def test_python_m_wfcolor_runs_the_cli(capsys):
+    argv = ["run", "--protocol", "slow6", "--n", "7", "--seed", "3", "--sched", "rand:0.5:2"]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    src = os.path.dirname(os.path.dirname(wfcolor.__file__))
+    done = subprocess.run([sys.executable, "-m", "wfcolor", *argv], capture_output=True,
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == expected

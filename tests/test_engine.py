@@ -27,6 +27,7 @@ from wfcolor.engine import (
 from wfcolor.model import cycle, explicit_ids, monotone_chain_ids, random_connected_graph, random_unique_ids
 from wfcolor.protocols import (
     INFINITE,
+    PROTOCOLS,
     Continue,
     ProtocolState,
     Return,
@@ -735,3 +736,67 @@ def test_crash_is_equivalent_to_removal_after_return():
     trace2 = run(ex2, Scheduler(ReplaySched(tuple(pruned)), 4), 199)
     assert trace2.outputs == trace.outputs
     assert {p: r for p, r in trace2.activations.items()} == trace.activations
+
+
+@st.composite
+def small_runs(draw):
+    """A protocol, cycle size, ids seed, schedule text and horizon; the
+    horizon is often too short, so runs that run out of it are drawn too."""
+    n = draw(st.integers(3, 12))
+    protocol = draw(st.sampled_from(PROTOCOLS))
+    seed = draw(st.integers(0, 10**6))
+    p = draw(st.sampled_from([0.3, 0.5, 1.0]))
+    base = draw(st.sampled_from(["sync", "rr", f"rand:{p}:{seed}"]))
+    crashes = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, 12)),
+                            min_size=1, max_size=3))
+    sets = draw(st.lists(st.frozensets(st.integers(0, n - 1)), max_size=30))
+    text = draw(st.sampled_from([
+        base,
+        "crash:" + ",".join(f"{q}@{t}" for q, t in crashes) + f";{base}",
+        "replay:@" + "|".join(",".join(map(str, sorted(s))) for s in sets),
+    ]))
+    horizon = draw(st.one_of(st.integers(1, 12), st.just(default_horizon(protocol, n))))
+    return protocol, n, seed, text, horizon
+
+
+def runs_without_and_with_records(protocol, n, seed, text, horizon):
+    """The execution and trace of a run by the no-record loop, then of the
+    same run by the recording loop."""
+    g = cycle(n)
+    ids = random_unique_ids(g, seed=seed)
+    results = []
+    for keep_steps in (False, True):
+        ex = new_execution(g, ids, protocol)
+        results.append((ex, run(ex, make_scheduler(text, n), horizon, keep_steps=keep_steps)))
+    return results
+
+
+def assert_same_outcome(fast, reference):
+    (ex, trace), (ref, ref_trace) = fast, reference
+    assert list(ex.returned.items()) == list(ref.returned.items())  # in return order
+    assert (trace.outputs, trace.activations, trace.tstar) == (
+        ref_trace.outputs, ref_trace.activations, ref_trace.tstar
+    )
+    for name in ("activations", "last_move", "_t"):
+        assert getattr(ex, name) == getattr(ref, name), name
+    assert (ex.registers, ex.states) == (ref.registers, ref.states)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_runs())
+def test_the_no_record_loop_leaves_what_the_recording_loop_leaves(case):
+    assert_same_outcome(*runs_without_and_with_records(*case))
+
+
+@pytest.mark.parametrize("protocol, n, text, horizon, tstar, steps", [
+    ("slow6", 10, "sync", 1, None, 1),  # the horizon runs out
+    ("fast5", 5, "rr", 3, None, 3),
+    ("slow5", 4, "replay:@0,1|2||3", 400, 4, 4),  # the replay ends: every node it names is done
+    ("deltasq", 6, "crash:0@1,1@1,2@1,3@1,4@1,5@2;sync", 400, 1, 1),  # all crashed
+])
+def test_the_no_record_loop_stops_where_the_recording_loop_stops(
+    protocol, n, text, horizon, tstar, steps
+):
+    fast, reference = runs_without_and_with_records(protocol, n, 3, text, horizon)
+    assert_same_outcome(fast, reference)
+    assert (fast[1].tstar, fast[0]._t) == (tstar, steps)

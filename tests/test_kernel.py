@@ -153,6 +153,27 @@ def test_run_routes_a_large_cycle_to_the_kernel_with_identical_trace_bytes(monke
         calls.clear()
 
 
+@pytest.mark.parametrize("text", ["rr", "crash:3@1;rr", "crash:3@1;crash:9@2;rr"])
+def test_run_keeps_rr_in_the_reference_loop(monkeypatch, text):
+    # a kernel step costs O(n) and rr moves one node a step
+    def refuse(*args):
+        raise AssertionError("kernel.run called")
+
+    n = engine.KERNEL_MIN_NODES
+    graph = cycle(n)
+    ids = random_unique_ids(graph, seed=3)
+    monkeypatch.setattr(kernel, "run", refuse)
+    fast, ref = new_execution(graph, ids, "slow6"), new_execution(graph, ids, "slow6")
+    horizon = engine.default_horizon("slow6", n)
+    trace = engine.run(fast, make_scheduler(text, n), horizon, keep_steps=False)
+    reference = engine.run(ref, make_scheduler(text, n), horizon, keep_steps=True)
+    assert trace.terminated
+    assert (trace.outputs, trace.activations, trace.tstar) == (
+        reference.outputs, reference.activations, reference.tstar
+    )
+    assert list(fast.returned) == list(ref.returned)
+
+
 @pytest.mark.parametrize("p", [0.3, 0.5, 1.0])
 @pytest.mark.parametrize("n", [1, 7, 33, 101])
 def test_rand_masks_equal_the_scheduler_draws(p, n):

@@ -64,10 +64,11 @@ def test_random_scheduler_full_probability():
 
 
 @pytest.fixture
-def fresh_draws(monkeypatch):
-    """An empty rand: draws memo for one test."""
-    monkeypatch.setattr(schedulers, "_DRAWS", {})
-    monkeypatch.setattr(schedulers, "_held", 0)
+def fresh_memo(monkeypatch):
+    """An empty rand: set memo for one test."""
+    monkeypatch.setattr(schedulers, "_SETS", {})
+    monkeypatch.setattr(schedulers, "_INTERNED", {})
+    monkeypatch.setattr(schedulers, "_units", 0)
 
 
 def _defined_rand_set(p, seed, t, n, dead=()):
@@ -76,35 +77,46 @@ def _defined_rand_set(p, seed, t, n, dead=()):
     return frozenset(i for i in range(n) if draw() < p) - set(dead)
 
 
-def _held_by(memo):
-    """What _draws counts against its cap: the entries plus their draws."""
-    return len(memo) + sum(map(len, memo.values()))
+def _held():
+    """What the memo counts against its cap: its keys and stored steps, and
+    1 + len(s) for each interned set s."""
+    stored = sum(len(sets or ()) for sets in schedulers._SETS.values())
+    return len(schedulers._SETS) + stored + sum(1 + len(s) for s in schedulers._INTERNED)
 
 
-@pytest.mark.usefixtures("fresh_draws")
+@pytest.mark.usefixtures("fresh_memo")
 def test_rand_sets_follow_the_stream_as_node_counts_grow_and_shrink():
-    # each (seed, t) is asked for under four p at each n: the first use only
-    # marks it, later ones read the memo, a larger n re-draws the entry and a
-    # smaller one reads its prefix; KERNEL_MIN_NODES nodes bypass the memo
+    # each (seed, p, n) runs three times at each n: the first run only marks
+    # the key, the second stores its sets and the third reads them; a size
+    # met again reads from its first use on; KERNEL_MIN_NODES nodes bypass
+    # the memo
     sizes = [1, 3, 5, 16, 200, KERNEL_MIN_NODES, 16, 5, 3, 1]
     for n in sizes:
         for p in (0.1, 0.5, 0.9, 1.0):
             for seed in (0, 7, 2**40):
-                for t in (1, 2, 13, 400):
-                    got = make_scheduler(f"rand:{p}:{seed}", n).at(t)
-                    assert got == _defined_rand_set(p, seed, t, n)
-            crashed = make_scheduler(f"crash:0@3;rand:{p}:4", n)
-            for t in (1, 3, 9):
-                dead = (0,) if t >= 3 else ()
-                assert crashed.at(t) == _defined_rand_set(p, 4, t, n, dead)
-    assert len(schedulers._DRAWS[(0, 1)]) == 200
-    assert schedulers._held == _held_by(schedulers._DRAWS)
+                for _ in range(3):
+                    s = make_scheduler(f"rand:{p}:{seed}", n)
+                    for t in (1, 2, 13, 400):
+                        assert s.at(t) == _defined_rand_set(p, seed, t, n)
+            for _ in range(3):
+                crashed = make_scheduler(f"crash:0@3;rand:{p}:4", n)
+                for t in (1, 3, 9):
+                    dead = (0,) if t >= 3 else ()
+                    assert crashed.at(t) == _defined_rand_set(p, 4, t, n, dead)
+    memo = schedulers._SETS
+    assert memo[(0, 0.5, 200)] == {t: _defined_rand_set(0.5, 0, t, 200) for t in (1, 2, 13, 400)}
+    assert memo[(4, 0.5, 16)] == {t: _defined_rand_set(0.5, 4, t, 16) for t in (1, 3, 9)}
+    assert all(n < KERNEL_MIN_NODES for _, _, n in memo)
+    # equal sets are one object: under p = 1.0 every step of every seed
+    assert len({id(s) for sets in memo.values() for s in sets.values() if len(s) == 200}) == 1
+    assert all(schedulers._INTERNED[s] is s for sets in memo.values() for s in sets.values())
+    assert schedulers._units == _held()
 
 
-@pytest.mark.usefixtures("fresh_draws")
+@pytest.mark.usefixtures("fresh_memo")
 def test_a_rand_descriptor_seeds_each_step_in_two_runs_at_most(monkeypatch):
-    # the first run marks each (seed, t), the second keeps its draws, and
-    # every later run reads them
+    # the first run marks the descriptor's key, the second keeps its sets,
+    # and every later run reads them
     calls = []
 
     def counted(seed, t):
@@ -126,21 +138,32 @@ def test_a_rand_descriptor_seeds_each_step_in_two_runs_at_most(monkeypatch):
     assert traces[0].activations == traces[1].activations == traces[2].activations
 
 
-@pytest.mark.usefixtures("fresh_draws")
-def test_the_draws_memo_stays_under_its_cap():
+@pytest.mark.usefixtures("fresh_memo")
+def test_the_draws_memo_stays_under_its_cap(monkeypatch):
+    cap = 400
+    monkeypatch.setattr(schedulers, "_SETS_CAP", cap)
     n = 16
-    kept = schedulers._DRAWS_CAP // (n + 1)  # entries of 16 draws that fit
-    for seed in range(kept + 50):
-        s = make_scheduler(f"rand:0.5:{seed}", n)
-        for _ in range(2):
-            assert s.at(1) == _defined_rand_set(0.5, seed, 1, n)
-            assert schedulers._held <= schedulers._DRAWS_CAP
-    assert schedulers._held == _held_by(schedulers._DRAWS)
-    assert len(schedulers._DRAWS) == 50  # cleared once, when the cap was passed
-    for seed in range(schedulers._DRAWS_CAP + 10):  # first uses only mark
-        schedulers._draws(seed, 2, n)
-        assert schedulers._held <= schedulers._DRAWS_CAP
-    assert schedulers._held == _held_by(schedulers._DRAWS)
+    clears = 0
+    for seed in range(100):
+        for _ in range(3):
+            s = make_scheduler(f"rand:0.5:{seed}", n)
+            for t in (1, 2):
+                before = schedulers._units
+                assert s.at(t) == _defined_rand_set(0.5, seed, t, n)
+                clears += schedulers._units < before
+                assert schedulers._units == _held() <= cap
+    assert clears >= 3
+    # a scheduler bound before a clear reads what it holds and stores no more
+    for _ in range(2):
+        kept = make_scheduler("rand:0.5:500", n)
+        first = kept.at(1)
+    while (500, 0.5, n) in schedulers._SETS:  # marks only, until the memo is cleared
+        make_scheduler(f"rand:0.5:{1000 + schedulers._units}", n).at(1)
+        assert schedulers._units == _held() <= cap
+    assert kept.at(1) is first
+    assert kept.at(2) == _defined_rand_set(0.5, 500, 2, n)
+    assert kept._sets == {1: first}
+    assert schedulers._units == _held()
 
 
 def test_invalid_probability_rejected():
