@@ -20,8 +20,10 @@ outcome, and the kernel builds its tables from the ids alone.
 Traces serialize as line-delimited JSON: a header line, one line per step
 with fields t/act/w/rd/dec, and a final line with out/tstar. Identical
 inputs produce byte-identical trace files. `step_line` writes a step line
-straight as text, the same bytes as `json.dumps` with sorted keys, and a
-run that keeps its step records runs with the cyclic collector paused.
+straight as text, the same bytes as `json.dumps` with sorted keys.
+`read_trace` replays a trace: it accepts a step line only as the bytes
+that `step_line` writes for the step its act replays, so a trace it reads
+is an execution of its header.
 """
 
 from __future__ import annotations
@@ -349,45 +351,6 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def decode_record(raw, protocol: str) -> View:
-    if raw is None:
-        return None
-    if protocol == FAST5:
-        x, r, a, b = raw
-        state = ProtocolState(x, a, b, INFINITE if r == "inf" else r)
-    else:
-        x, a, b = raw
-        state = ProtocolState(x, a, b)
-    if not all(type(field) is int for field in state[: 4 if protocol == FAST5 else 3]):
-        raise ValueError(f"register {raw!r} holds a field that is not an integer")
-    return state
-
-
-def _encode_color(color: Color) -> int | list[int]:
-    return list(color) if isinstance(color, tuple) else color
-
-
-def _decode_color(raw) -> Color:
-    """An int, or a flat list of ints as a tuple; the palette audit judges
-    its range and shape."""
-    if type(raw) is int:
-        return raw
-    if type(raw) is list and all(type(c) is int for c in raw):
-        return tuple(raw)
-    raise ValueError(f"color {raw!r} is neither an integer nor a list of integers")
-
-
-def _decode_decision(raw, state: Callable[[list], View]) -> Decision:
-    tag, payload = raw
-    if payload is None:
-        raise ValueError(f"decision {tag!r} has a null payload")
-    if tag == "ret":
-        return Return(_decode_color(payload))
-    if tag == "cont":
-        return Continue(state(payload))
-    raise ValueError(f"decision tag {tag!r} is neither 'ret' nor 'cont'")
-
-
 def header_line(header: TraceHeader) -> str:
     return _dump(
         {
@@ -437,7 +400,8 @@ def step_line(record: StepRecord) -> str:
 def final_line(trace: Trace) -> str:
     return _dump(
         {
-            "out": {str(p): _encode_color(c) for p, c in sorted(trace.outputs.items())},
+            "out": {str(p): list(c) if isinstance(c, tuple) else c
+                    for p, c in sorted(trace.outputs.items())},
             "tstar": trace.tstar,
         }
     )
@@ -497,53 +461,60 @@ def parse_header(line: str) -> TraceHeader:
         raise ValueError(f"malformed trace header: {exc}") from None
 
 
-def _check_nodes(nodes, n: int) -> None:
-    """Reject node indices of a trace line outside the graph's n nodes."""
-    if nodes:
-        low, high = min(nodes), max(nodes)
-        if low < 0 or high >= n:
-            raise ValueError(f"node {low if low < 0 else high} is outside the graph's {n} nodes")
+def _act(line: str) -> list[int]:
+    """A step line's act: sliced from the prefix that step_line writes, else
+    decoded from the line, whose bytes then differ from its replay's."""
+    if line.startswith('{"act":['):
+        text = line[8:line.find("]")]
+        try:
+            return list(map(int, text.split(","))) if text else []
+        except ValueError:
+            pass
+    act = json.loads(line)["act"]
+    if type(act) is not list or any(type(p) is not int for p in act):
+        raise ValueError(f"act {json.dumps(act)} is not a list of node indices")
+    return act
 
 
-def _check_step(record: StepRecord, adjacency: tuple[tuple[int, ...], ...]) -> None:
-    """Reject a decoded step line that names a node outside the graph, whose
-    w, rd and dec name different movers or a mover missing from act, that
-    writes null, or that reads other than one register per neighbor (a null
-    view, an unwritten register, is legal)."""
-    for nodes in (record.activated, record.writes, record.reads, record.decisions):
-        _check_nodes(nodes, len(adjacency))
-    movers = record.writes.keys()
-    if movers != record.reads.keys() or movers != record.decisions.keys():
-        odd = (movers ^ record.reads.keys()) | (movers ^ record.decisions.keys())
-        raise ValueError(f"node {min(odd)} is not named in all of w, rd and dec")
-    stray = movers - record.activated
-    if stray:
-        raise ValueError(f"node {min(stray)} moves but is not in act")
-    for p, state in record.writes.items():
-        if state is None:
-            raise ValueError(f"node {p} writes null")
-    for p, views in record.reads.items():
-        degree = len(adjacency[p])
-        if len(views) != degree:
-            raise ValueError(f"node {p} has {degree} neighbors, its read lists {len(views)}")
-
-
-def _not_an_integer(text: str):
-    raise ValueError(f"{text} is not an integer")
-
-
-# Step lines hold integers only, so a register decodes to the same state
-# whichever of two equal records, such as [1, 0, 0] and [1.0, 0, 0], comes
-# first; read_trace rejects a step line holding true or false (equal to 1 and 0).
-_STEP_JSON = json.JSONDecoder(parse_float=_not_an_integer, parse_constant=_not_an_integer)
+def _difference(line: str, expected: str, n: int, t: int | None = None) -> str:
+    """The first thing in which a line differs from expected, the line that
+    the replay of step t (of the whole trace, for None) writes: a field it
+    lacks, its step number, a node outside the graph, or a node's entry in
+    a field. Entries are compared as JSON text, so true is not taken for 1."""
+    raw, replay = json.loads(line), json.loads(expected)  # an object: its act or tstar was read
+    whose = "the replay" if t is None else f"the replay of step {t}"
+    if replay.keys() - raw.keys():
+        return f"no field {min(replay.keys() - raw.keys())!r}"
+    if t is not None and json.dumps(raw["t"]) != str(t):
+        return f"t {raw['t']!r} is not this line's step number {t}"
+    nodes = set(map(str, range(n)))
+    for field in sorted(raw):
+        if field not in replay:
+            return f"field {field!r} is not in {whose}"
+        mine, theirs = raw[field], replay[field]
+        if json.dumps(mine) == json.dumps(theirs):
+            continue
+        if type(mine) is not dict:
+            return f"{field} is {json.dumps(mine)}, {whose} {json.dumps(theirs)}"
+        for p in sorted(mine.keys() | theirs.keys(), key=lambda p: (len(p), p)):
+            if p not in nodes:
+                return f"unknown node index {p}"
+            entries = [json.dumps(d[p]) if p in d else "none" for d in (mine, theirs)]
+            if entries[0] != entries[1]:
+                return f"node {p} has {field} {entries[0]}, {whose} {entries[1]}"
+    return f"{whose} writes the same fields in other bytes"
 
 
 def read_trace(path: str) -> Trace:
-    """A trace file decoded under its header's protocol; a ValueError names
-    the file and the 1-based line of the first malformed line.
+    """A trace file, read by replaying it. A fresh execution of the header
+    runs each step line's act; the line is accepted only as the bytes that
+    step_line writes for the replayed step, and the final line only as
+    final_line writes the replayed trace with its tstar. A ValueError names
+    the file, the 1-based line of the first line that fails, and what in it
+    differs from the replay.
 
-    Each distinct register record is decoded once per file, so every write,
-    read and cont state that holds it is one shared ProtocolState. The
+    The replay interns the initial states and each Continue state through
+    one dict, so equal register records are one shared ProtocolState. The
     collector is paused meanwhile, as in new_states."""
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -553,58 +524,26 @@ def read_trace(path: str) -> Trace:
     with CollectorPaused():
         try:
             header = parse_header(lines[0])
-            check_instance(header.graph, header.ids, header.protocol)
-            protocol = header.protocol
-            adjacency = header.graph.adjacency
-            states: dict[tuple, ProtocolState] = {}
-
-            def state(raw) -> View:
-                if raw is None:
-                    return None
-                key = tuple(raw)
-                decoded = states.get(key)
-                if decoded is None:
-                    decoded = states[key] = decode_record(raw, protocol)
-                return decoded
-
-            horizon = header.horizon
+            horizon, n = header.horizon, header.graph.node_count
+            execution = new_execution(header.graph, header.ids, header.protocol)
+            shared: dict[ProtocolState, ProtocolState] = {}
+            states = execution._states = [shared.setdefault(s, s) for s in execution.states]
             steps = []
-            activations = dict.fromkeys(range(len(adjacency)), 0)
-            returned: dict[int, Color] = {}
-            moved = 0  # the last step with a decision
             for lineno, line in enumerate(lines[1:-1], 2):
-                raw = _STEP_JSON.decode(line)
-                t = raw["t"]
-                if type(t) is not int or t != lineno - 1:
-                    raise ValueError(f"t {t!r} is not this line's step number {lineno - 1}")
-                if t > horizon:
-                    raise ValueError(f"step {t} is past the header's horizon {horizon}")
-                record = StepRecord(
-                    t,
-                    tuple(raw["act"]),
-                    {int(p): state(rec) for p, rec in raw["w"].items()},
-                    {int(p): tuple(map(state, views)) for p, views in raw["rd"].items()},
-                    {int(p): _decode_decision(d, state) for p, d in raw["dec"].items()},
-                )
-                _check_step(record, adjacency)
-                for word in ("true", "false"):
-                    if word in line:
-                        _not_an_integer(word)
-                for p, decision in record.decisions.items():
-                    if p in returned:
-                        raise ValueError(f"node {p} moves after its return")
-                    activations[p] += 1
-                    if type(decision) is Return:
-                        returned[p] = decision.color
-                if record.decisions:
-                    moved = t
+                if lineno - 1 > horizon:
+                    raise ValueError(f"step {lineno - 1} is past the header's horizon {horizon}")
+                record = execution.apply_step(_act(line))
+                for p, d in record.decisions.items():
+                    if type(d) is Continue and shared.setdefault(d.state, d.state) is not d.state:
+                        states[p] = shared[d.state]
+                        record.decisions[p] = Continue(states[p])
+                expected = step_line(record)
+                if expected != line:
+                    raise ValueError(_difference(line, expected, n, record.t))
                 steps.append(record)
             lineno = len(lines)
-            tail = _STEP_JSON.decode(lines[-1])
-            outputs = {int(p): _decode_color(c) for p, c in tail["out"].items()}
-            _check_nodes(outputs, len(adjacency))
-            tstar = tail["tstar"]
-            last = len(steps)
+            tstar = json.loads(lines[-1])["tstar"]
+            last, moved = len(steps), execution.last_move
             if tstar is not None and not (type(tstar) is int and 0 <= tstar <= last):
                 raise ValueError(f"tstar {tstar!r} is neither null nor a step from 0 to {last}")
             if tstar is None and last < horizon:
@@ -612,17 +551,15 @@ def read_trace(path: str) -> Trace:
                                  f"before the horizon {horizon}")
             if tstar is not None and tstar != moved:
                 raise ValueError(f"tstar {tstar} is not {moved}, the last step with a decision")
-            if outputs != returned:
-                p = min(outputs.keys() ^ returned.keys()
-                        or {p for p in outputs if outputs[p] != returned[p]})
-                raise ValueError(f"node {p}: out gives {outputs.get(p, 'no color')}, "
-                                 f"its ret decision {returned.get(p, 'none')}")
+            trace = Trace(header, steps, dict(execution.returned),
+                          dict(enumerate(execution.activations)), tstar)
+            expected = final_line(trace)
+            if expected != lines[-1]:
+                raise ValueError(_difference(lines[-1], expected, n))
         except json.JSONDecodeError:
             raise ValueError(f"trace file {path} line {lineno}: not a JSON line") from None
         except KeyError as exc:
-            raise ValueError(
-                f"trace file {path} line {lineno}: no field {exc.args[0]!r}"
-            ) from None
+            raise ValueError(f"trace file {path} line {lineno}: no field {exc.args[0]!r}") from None
         except (AttributeError, TypeError, ValueError) as exc:
             raise ValueError(f"trace file {path} line {lineno}: {exc}") from None
-    return Trace(header, steps, outputs, activations, tstar)
+    return trace

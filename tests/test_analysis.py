@@ -84,15 +84,22 @@ def test_palette_checks():
 
 
 def test_palette_flags_a_tampered_output(tmp_path):
+    trace = triangle_trace()
     path = tmp_path / "trace.jsonl"
-    write_trace(triangle_trace(), str(path))
+    write_trace(trace, str(path))
     lines = path.read_text(encoding="utf-8").splitlines()
     step, final = json.loads(lines[2]), json.loads(lines[-1])  # node 1 returns at step 2
-    step["dec"]["1"] = ["ret", [-1, 3]]  # out must equal the ret colors
+    step["dec"]["1"] = ["ret", [-1, 3]]
     final["out"]["1"] = [-1, 3]
     lines[2], lines[-1] = json.dumps(step), json.dumps(final)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    report = check_palette(read_trace(str(path)).outputs, "slow6")
+    with pytest.raises(ValueError) as excinfo:  # the replay returns (1, 0)
+        read_trace(str(path))
+    assert str(excinfo.value) == (
+        f'trace file {path} line 3: node 1 has dec ["ret", [-1, 3]], '
+        'the replay of step 2 ["ret", [1, 0]]'
+    )
+    report = check_palette({**trace.outputs, 1: (-1, 3)}, "slow6")
     assert report.violations == [(None, 1, "output (-1, 3) outside the slow6 palette")]
 
 

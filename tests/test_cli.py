@@ -9,7 +9,7 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 import wfcolor
-from wfcolor import analysis
+from wfcolor import analysis, cli
 from wfcolor.cli import ExperimentConfig, main
 from wfcolor.engine import new_execution, run, write_trace
 from wfcolor.model import cycle, explicit_ids
@@ -362,14 +362,63 @@ def test_run_and_audit_replay_a_slow6_trace_once(tmp_path, capsys, monkeypatch):
     assert len(replays) == 2
 
 
+def republish_as_6(trace):
+    """The edit that tampered.jsonl makes, made to the slow6 triangle's trace
+    in memory: node 1 (id 1) republishes as 6 at step 2."""
+    writes = trace.steps[1].writes
+    writes[1] = writes[1]._replace(x=6)
+
+
 def test_audit_flags_a_tampered_trace(tmp_path, capsys):
     write_audit_traces(tmp_path)
     assert run_cli("audit", str(tmp_path / "good.jsonl")) == 0
     assert "audit ab_exclusion: pass" in capsys.readouterr().out
-    assert run_cli("audit", str(tmp_path / "tampered.jsonl")) == 1
+    path = tmp_path / "tampered.jsonl"
+    assert run_cli("audit", str(path)) == 2
+    assert (f"trace file {path} line 3: node 1 has w [6, 1, 0], the replay of step 2 [1, 1, 0]"
+            in capsys.readouterr().err)
+    g = cycle(3)
+    trace = run(new_execution(g, explicit_ids(g, [5, 1, 9]), "slow6"),
+                make_scheduler("sync", 3), 100)
+    republish_as_6(trace)
+    report = analysis.ab_exclusion_audit(trace)
+    assert report.violations == [(2, 0, "A contains a value <= published id 5")]
+
+
+def test_run_prints_the_violations_of_a_failing_audit(capsys, monkeypatch):
+    def tampered_audits(trace):
+        republish_as_6(trace)
+        return analysis.heard_of_audits(trace)
+
+    monkeypatch.setitem(cli._STEP_AUDITS, "slow6", tampered_audits)
+    code = run_cli("run", "--protocol", "slow6", "--n", "3", "--ids", "5,1,9", "--sched", "sync")
     out = capsys.readouterr().out
+    assert code == 1
     assert "audit ab_exclusion: FAIL (1 violations)" in out
-    assert "violation t=2 node=0: A contains a value <= published id 5" in out
+    assert "  violation t=2 node=0: A contains a value <= published id 5" in out
+
+
+def test_audit_rejects_a_well_formed_forgery(tmp_path, capsys):
+    """A read of a record nobody wrote, and a forged return color with its out
+    entry, in a 5-node slow6 chain trace under rr: every line stays well
+    formed, and the replay rejects the line where the forgery starts."""
+    path = tmp_path / "trace.jsonl"
+    for edits, lineno, problem in (
+        ([('"rd":{"2":[[1,0,0],null]}', '"rd":{"2":[[7,0,0],null]}')], 3,
+         "node 2 has rd [[7, 0, 0], null], the replay of step 2 [[1, 0, 0], null]"),
+        ([('"1":["ret",[0,0]]', '"1":["ret",[2,0]]'), ('"1":[0,0]', '"1":[2,0]')], 2,
+         'node 1 has dec ["ret", [2, 0]], the replay of step 1 ["ret", [0, 0]]'),
+    ):
+        assert run_cli("run", "--protocol", "slow6", "--n", "5", "--ids", "chain", "--sched", "rr",
+                       "--trace", str(path)) == 0
+        text = path.read_text()
+        for old, new in edits:
+            assert text.count(old) == 1
+            text = text.replace(old, new)
+        path.write_text(text)
+        capsys.readouterr()
+        assert run_cli("audit", str(path)) == 2
+        assert f"trace file {path} line {lineno}: {problem}" in capsys.readouterr().err
 
 
 def test_audit_of_a_broken_file_is_usage_error(tmp_path, capsys):
@@ -398,28 +447,28 @@ def test_audit_of_a_broken_file_is_usage_error(tmp_path, capsys):
          "field 'graph.n' is not an integer: True"),
         (1, {**step, "t": 7}, 2, "t 7 is not this line's step number 1"),
         (1, {**step, "w": {**step["w"], "0": [True, 0, 0]}}, 2,
-         "register [True, 0, 0] holds a field that is not an integer"),
-        # [1, 1, 0] is written earlier on the line, so the read decodes from the memo
+         "node 0 has w [true, 0, 0], the replay of step 1 [5, 0, 0]"),
+        # [1, 1, 0] is written earlier on the line: true is not taken for 1
         (2, {**step2, "rd": {**rd2, "0": [[True, 1, 0], rd2["0"][1]]}}, 3,
-         "true is not an integer"),
-        (1, {**step, "act": [0, True, 2]}, 2, "true is not an integer"),
+         "node 0 has rd [[true, 1, 0], [9, 0, 1]], the replay of step 2 [[1, 1, 0], [9, 0, 1]]"),
+        (1, {**step, "act": [0, True, 2]}, 2, "act [0, true, 2] is not a list of node indices"),
         (0, {**header, "ids": {**header["ids"], "values": [5, True, 9]}}, 1,
          "identifier True is not an int"),
         (2, {**step2, "dec": {**dec2, "1": ["ret", "x"]}}, 3,
-         "color 'x' is neither an integer nor a list of integers"),
+         'node 1 has dec ["ret", "x"], the replay of step 2 ["ret", [1, 0]]'),
         (2, {**step2, "dec": {**dec2, "1": ["ret", [[1], 0]]}}, 3,
-         "color [[1], 0] is neither an integer nor a list of integers"),
+         'node 1 has dec ["ret", [[1], 0]], the replay of step 2 ["ret", [1, 0]]'),
         (3, {**final, "out": {**out, "1": [True, 0]}}, 4,
-         "color [True, 0] is neither an integer nor a list of integers"),
+         "node 1 has out [true, 0], the replay [1, 0]"),
         (0, {**header, "horizon": 1}, 3, "step 2 is past the header's horizon 1"),
         (3, {**final, "tstar": None}, 4, "tstar is null, but the steps stop at 2"),
         (3, {**final, "tstar": 1}, 4, "tstar 1 is not 2, the last step with a decision"),
-        (1, {**step, "dec": {**step["dec"], "1": ["ret", [1, 0]]}}, 3,
-         "node 1 moves after its return"),
-        (3, {**final, "out": {**out, "1": [0, 1]}}, 4,
-         "node 1: out gives (0, 1), its ret decision (1, 0)"),
+        # node 1 moves after this forged return: the return is the line named
+        (1, {**step, "dec": {**step["dec"], "1": ["ret", [1, 0]]}}, 2,
+         'node 1 has dec ["ret", [1, 0]], the replay of step 1 ["cont", [1, 1, 0]]'),
+        (3, {**final, "out": {**out, "1": [0, 1]}}, 4, "node 1 has out [0, 1], the replay [1, 0]"),
         (3, {**final, "out": {p: c for p, c in out.items() if p != "1"}}, 4,
-         "node 1: out gives no color, its ret decision (1, 0)"),
+         "node 1 has out none, the replay [1, 0]"),
     ):
         path.write_text("\n".join(lines[:i] + [json.dumps(edited)] + lines[i + 1:]) + "\n")
         assert run_cli("audit", str(path)) == 2

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,7 +25,14 @@ from wfcolor.engine import (
     step_line,
     write_trace,
 )
-from wfcolor.model import cycle, explicit_ids, monotone_chain_ids, random_connected_graph, random_unique_ids
+from wfcolor.model import (
+    cycle,
+    explicit_ids,
+    monotone_chain_ids,
+    proper_coloring_ids,
+    random_connected_graph,
+    random_unique_ids,
+)
 from wfcolor.protocols import (
     INFINITE,
     PROTOCOLS,
@@ -317,7 +325,7 @@ def test_trace_round_trip(tmp_path):
     assert loaded.tstar == trace.tstar
     assert loaded.steps == trace.steps
     assert loaded.activations == trace.activations
-    # an unwritten register reads as null, and decodes to None
+    # an unwritten register reads as null, and reads back as None
     assert any(None in views for record in loaded.steps for views in record.reads.values())
 
 
@@ -338,9 +346,14 @@ def test_read_trace_shares_one_state_per_distinct_record(tmp_path):
                 assert view is latest.get(q)  # a read is the write it saw
                 shared += view is not None
     assert shared > 0
-    states = [d.state for record in loaded.steps for d in record.decisions.values()
+    assert_one_object_per_state(loaded)
+
+
+def assert_one_object_per_state(trace):
+    """Equal writes and cont states of a trace are one object."""
+    states = [d.state for record in trace.steps for d in record.decisions.values()
               if isinstance(d, Continue)]
-    states += [s for record in loaded.steps for s in record.writes.values()]
+    states += [s for record in trace.steps for s in record.writes.values()]
     assert len(set(map(id, states))) == len(set(states))
 
 
@@ -401,8 +414,8 @@ def _write_record(record):
 
 
 def _false_in_a_written_read(raw):
-    """Make false the last field, 0, of a read that its line also writes: the
-    read then decodes from the memo, where false equals 0."""
+    """Make false the last field, 0, of a read that its line also writes:
+    an equal record beside it, where false would pass as 0."""
     written = list(raw["w"].values())
     views = next(v for v in raw["rd"].values() if v[0] in written and v[0][-1] == 0)
     views[0] = views[0][:-1] + [False]
@@ -482,13 +495,14 @@ def _short_horizon(lines, i):
 
 
 def _return_early(lines, i):
-    """Turn the chosen step's first decision into a return; the line of that
-    node's next move is the malformed one."""
+    """Turn the chosen step's first decision into a return, which its node
+    moves after: the forged return is the malformed line."""
     raw = json.loads(lines[i])
     p = next(iter(raw["dec"]))
+    assert any(p in json.loads(lines[j])["dec"] for j in range(i + 1, len(lines) - 1))
     raw["dec"][p] = ["ret", 0]
     lines[i] = json.dumps(raw)
-    return next(j for j in range(i + 1, len(lines) - 1) if p in json.loads(lines[j])["dec"]) + 1
+    return i + 1
 
 
 @pytest.mark.parametrize(
@@ -496,35 +510,51 @@ def _return_early(lines, i):
     [
         (_edit_step(lambda raw: raw.pop("rd")), "no field 'rd'"),
         (_final_without_out, "no field 'out'"),
-        (_edit_step(_three_field_write), "not enough values to unpack"),
+        (_edit_step(_three_field_write),
+         "node 0 has w [3, 0, 0], the replay of step 1 [3, 0, 0, 0]"),
         (_not_json, "not a JSON line"),
-        (_edit_step(_unknown_decision_tag), "decision tag 'zzz'"),
-        (_edit_step(lambda raw: raw["dec"].update({"9": ["ret", 0]})), "node 9 is outside"),
-        (_edit_step(_null_decision("cont")), "decision 'cont' has a null payload"),
-        (_edit_step(_null_decision("ret")), "decision 'ret' has a null payload"),
-        (_edit_step(lambda raw: raw["act"].append(9)), "node 9 is outside"),
-        (_edit_step(lambda raw: raw["w"].update({"9": [1, 0, 0, 0]})), "node 9 is outside"),
-        (_edit_step(lambda raw: raw["rd"].update({"9": [None, None]})), "node 9 is outside"),
-        (_final_out(lambda out: out.update({"9": 0})), "node 9 is outside"),
-        (_edit_step(_null_write), "writes null"),
-        (_edit_step(_read_count(1)), "has 2 neighbors, its read lists 1"),
-        (_edit_step(_read_count(3)), "has 2 neighbors, its read lists 3"),
-        (_edit_step(_drop_mover("w")), "is not named in all of w, rd and dec"),
-        (_edit_step(_drop_mover("rd")), "is not named in all of w, rd and dec"),
-        (_edit_step(_drop_mover("dec")), "is not named in all of w, rd and dec"),
-        (_edit_step(_drop_mover("act")), "moves but is not in act"),
-        (_edit_step(_write_record([[3], 0, 0, 0])), "unhashable type: 'list'"),
-        (_edit_step(_write_record(["3", 0, 0, 0])), "holds a field that is not an integer"),
-        (_edit_step(_write_record([3, None, 0, 0])), "holds a field that is not an integer"),
-        (_edit_step(_write_record([3.5, 0, 0, 0])), "3.5 is not an integer"),
-        (_edit_step(_write_record([True, 0, 0, 0])), "holds a field that is not an integer"),
-        (_edit_step(_false_in_a_written_read), "false is not an integer"),
-        (_edit_step(_true_for_one), "true is not an integer"),
-        (_ret_color("x"), "color 'x' is neither an integer nor a list of integers"),
-        (_ret_color([[0], 0]), "color [[0], 0] is neither an integer nor a list of integers"),
-        (_ret_color(True), "color True is neither an integer nor a list of integers"),
+        (_edit_step(_unknown_decision_tag),
+         'node 0 has dec ["zzz", [3, 0, 1, 1]], the replay of step 1 ["cont", [3, 0, 1, 1]]'),
+        (_edit_step(lambda raw: raw["dec"].update({"9": ["ret", 0]})), "unknown node index 9"),
+        (_edit_step(_null_decision("cont")),
+         'node 0 has dec ["cont", null], the replay of step 1 ["cont", [3, 0, 1, 1]]'),
+        (_edit_step(_null_decision("ret")),
+         'node 0 has dec ["ret", null], the replay of step 1 ["cont", [3, 0, 1, 1]]'),
+        (_edit_step(lambda raw: raw["act"].append(9)), "unknown node index 9"),
+        (_edit_step(lambda raw: raw["w"].update({"9": [1, 0, 0, 0]})), "unknown node index 9"),
+        (_edit_step(lambda raw: raw["rd"].update({"9": [None, None]})), "unknown node index 9"),
+        (_final_out(lambda out: out.update({"9": 0})), "unknown node index 9"),
+        (_edit_step(_null_write), "node 0 has w null, the replay of step 1 [3, 0, 0, 0]"),
+        (_edit_step(_read_count(1)),
+         "node 0 has rd [[8, 0, 0, 0]], the replay of step 1 [[8, 0, 0, 0], null]"),
+        (_edit_step(_read_count(3)),
+         "node 0 has rd [[8, 0, 0, 0], null, [8, 0, 0, 0]], "
+         "the replay of step 1 [[8, 0, 0, 0], null]"),
+        (_edit_step(_drop_mover("w")), "node 0 has w none, the replay of step 1 [3, 0, 0, 0]"),
+        (_edit_step(_drop_mover("rd")),
+         "node 0 has rd none, the replay of step 1 [[8, 0, 0, 0], null]"),
+        (_edit_step(_drop_mover("dec")),
+         'node 0 has dec none, the replay of step 1 ["cont", [3, 0, 1, 1]]'),
+        (_edit_step(_drop_mover("act")),
+         'node 0 has dec ["cont", [3, 0, 1, 1]], the replay of step 1 none'),
+        (_edit_step(_write_record([[3], 0, 0, 0])),
+         "node 0 has w [[3], 0, 0, 0], the replay of step 1 [3, 0, 0, 0]"),
+        (_edit_step(_write_record(["3", 0, 0, 0])),
+         'node 0 has w ["3", 0, 0, 0], the replay of step 1 [3, 0, 0, 0]'),
+        (_edit_step(_write_record([3, None, 0, 0])),
+         "node 0 has w [3, null, 0, 0], the replay of step 1 [3, 0, 0, 0]"),
+        (_edit_step(_write_record([3.5, 0, 0, 0])),
+         "node 0 has w [3.5, 0, 0, 0], the replay of step 1 [3, 0, 0, 0]"),
+        (_edit_step(_write_record([True, 0, 0, 0])),
+         "node 0 has w [true, 0, 0, 0], the replay of step 1 [3, 0, 0, 0]"),
+        (_edit_step(_false_in_a_written_read),
+         "node 0 has rd [[8, 0, 0, false], null], the replay of step 1 [[8, 0, 0, 0], null]"),
+        (_edit_step(_true_for_one), "act [0, true] is not a list of node indices"),
+        (_ret_color("x"), 'node 1 has dec ["ret", "x"], the replay of step 3 ["ret", 0]'),
+        (_ret_color([[0], 0]), 'node 1 has dec ["ret", [[0], 0]], the replay of step 3 ["ret", 0]'),
+        (_ret_color(True), 'node 1 has dec ["ret", true], the replay of step 3 ["ret", 0]'),
         (_final_out(lambda out: out.update({"0": [1, False]})),
-         "color [1, False] is neither an integer nor a list of integers"),
+         "node 0 has out [1, false], the replay 1"),
         (_header_field("protocol", "slow7"), "unknown protocol 'slow7'"),
         (_header_field("horizon", "abc"), "field 'horizon' is not an integer: 'abc'"),
         (_header_field("horizon", -1), "field 'horizon' is negative: -1"),
@@ -537,9 +567,10 @@ def _return_early(lines, i):
         (_short_horizon, "step 2 is past the header's horizon 1"),
         (_final_tstar(None), "tstar is null, but the steps stop at 6, before the horizon 200"),
         (_final_tstar(0), "tstar 0 is not 6, the last step with a decision"),
-        (_return_early, "node 0 moves after its return"),
-        (_final_out(lambda out: out.update({"0": 2})), "node 0: out gives 2, its ret decision 1"),
-        (_final_out(lambda out: out.pop("0")), "node 0: out gives no color, its ret decision 1"),
+        (_return_early,
+         'node 0 has dec ["ret", 0], the replay of step 1 ["cont", [3, 0, 1, 1]]'),
+        (_final_out(lambda out: out.update({"0": 2})), "node 0 has out 2, the replay 1"),
+        (_final_out(lambda out: out.pop("0")), "node 0 has out none, the replay 1"),
     ],
     ids=["step-without-rd", "final-without-out", "3-field-fast5-register", "non-json-step",
          "unknown-decision-tag", "decision-outside-graph", "null-continue", "null-return",
@@ -636,16 +667,25 @@ def _schedule(kind, n, seed):
     kind=st.sampled_from(["sync", "rr", "rand", "crash", "replay"]),
     seed=st.integers(0, 10**6),
     degree3=st.booleans(),
+    proper=st.booleans(),
 )
-def test_step_line_writes_what_json_dumps_wrote(protocol, n, kind, seed, degree3):
+def test_step_line_writes_what_json_dumps_wrote(protocol, n, kind, seed, degree3, proper):
     if protocol == "deltasq" and degree3:
         g = random_connected_graph(n, 3, seed=seed)
     else:
         g = cycle(n)
-    ex = new_execution(g, random_unique_ids(g, seed=seed), protocol)
-    trace = run(ex, make_scheduler(_schedule(kind, n, seed), n), default_horizon(protocol, n))
+    # proper ids may repeat, so that two nodes start in equal states
+    ids = proper_coloring_ids(g, 4, seed=seed) if proper else random_unique_ids(g, seed=seed)
+    trace = run(new_execution(g, ids, protocol), make_scheduler(_schedule(kind, n, seed), n),
+                default_horizon(protocol, n))
     for record in trace.steps:
         assert step_line(record) == _json_step_line(record)
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "trace.jsonl")
+        write_trace(trace, path)
+        loaded = read_trace(path)
+    assert loaded == trace
+    assert_one_object_per_state(loaded)
 
 
 def test_step_line_sorts_two_digit_keys_and_writes_frozen_counters():
@@ -674,6 +714,63 @@ def test_step_line_writes_kernel_records_as_json_dumps_did():
         run(ex, make_scheduler("rand:0.5:4", n), default_horizon(protocol, n),
             observers=[observer], keep_steps=False)
         assert lines and all(text == dumped for text, dumped in lines)
+
+
+@pytest.mark.parametrize("protocol", ["slow6", "fast5"])
+def test_a_kernel_written_trace_reads_back(tmp_path, protocol):
+    pytest.importorskip("numpy")
+    n = KERNEL_MIN_NODES
+    g = cycle(n)
+    ids = random_unique_ids(g, seed=5)
+    scheduler = make_scheduler("rand:0.5:5", n)
+    horizon = default_horizon(protocol, n)
+    path = tmp_path / "trace.jsonl"
+
+    def kernel_ran(record):
+        assert not isinstance(record, StepRecord)
+
+    with open(path, "w", encoding="utf-8") as fh:
+        writer = TraceFileWriter(fh, TraceHeader(g, ids, protocol, scheduler.text, 5, horizon))
+        trace = run(new_execution(g, ids, protocol), scheduler, horizon,
+                    observers=[kernel_ran, writer], keep_steps=False, seed=5)
+        writer.finish(trace)
+    loaded = read_trace(str(path))
+    assert trace.tstar is not None
+    assert (loaded.outputs, loaded.activations, loaded.tstar) == (
+        trace.outputs, trace.activations, trace.tstar
+    )
+
+
+# Two forgeries of a 5-node slow6 chain trace under rr that leave every line
+# well formed: a read of [7, 0, 0], a record that nobody wrote, and node 1's
+# return color with its out entry.
+FORGERIES = [
+    ([('"rd":{"2":[[1,0,0],null]}', '"rd":{"2":[[7,0,0],null]}')], 3,
+     "node 2 has rd [[7, 0, 0], null], the replay of step 2 [[1, 0, 0], null]"),
+    ([('"1":["ret",[0,0]]', '"1":["ret",[2,0]]'), ('"1":[0,0]', '"1":[2,0]')], 2,
+     'node 1 has dec ["ret", [2, 0]], the replay of step 1 ["ret", [0, 0]]'),
+]
+
+
+def forge(path, edits):
+    text = path.read_text(encoding="utf-8")
+    for old, new in edits:
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    path.write_text(text, encoding="utf-8")
+
+
+@pytest.mark.parametrize("edits, lineno, problem", FORGERIES,
+                         ids=["unwritten-read", "forged-return"])
+def test_read_trace_rejects_a_well_formed_forgery(tmp_path, edits, lineno, problem):
+    ex = new_execution(cycle(5), monotone_chain_ids(5), "slow6")
+    trace = run(ex, make_scheduler("rr", 5), default_horizon("slow6", 5))
+    path = tmp_path / "trace.jsonl"
+    write_trace(trace, str(path))
+    forge(path, edits)
+    with pytest.raises(ValueError) as excinfo:
+        read_trace(str(path))
+    assert str(excinfo.value) == f"trace file {path} line {lineno}: {problem}"
 
 
 @pytest.mark.parametrize("protocol", ["slow6", "fast5"])

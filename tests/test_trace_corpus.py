@@ -82,7 +82,7 @@ def test_trace_corpus_keeps_its_bytes(case, tmp_path):
     assert trace.tstar == tstar
     loaded = read_trace(str(path))
     assert loaded == trace
-    # one decoded state per distinct register record
+    # one state object per distinct register record
     states = [s for record in loaded.steps for s in record.writes.values()]
     states += [v for record in loaded.steps for views in record.reads.values() for v in views]
     assert len(set(map(id, states))) == len(set(states))
