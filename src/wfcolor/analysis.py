@@ -26,7 +26,7 @@ from typing import Mapping, NamedTuple
 
 from .engine import NotTerminated, StepRecord, Trace
 from .model import Graph, IdAssignment, UNIQUE
-from .protocols import Color, Continue, SLOW5, SLOW6, palette_ok
+from .protocols import Color, CollectorPaused, Continue, SLOW5, SLOW6, palette_ok
 
 
 class ABSets(NamedTuple):
@@ -309,19 +309,22 @@ def monotone_distances(ids: IdAssignment, graph: Graph) -> dict[int, tuple[int, 
     """Per node, the distance to the nearest local maximum along a strictly
     increasing path and to the nearest local minimum along a strictly
     decreasing one. Local maxima have the first distance 0, minima the
-    second."""
+    second. Runs with the collector paused, as new_states does: the
+    collections that a tuple per node sets off would walk every record that
+    the caller keeps."""
     if not graph.is_cycle:
         raise ValueError("monotone distances are defined on cycles")
-    ring = graph.depth_first_order()
-    values = [ids.ids[p] for p in ring]
-    negated = [-x for x in values]
-    up_back, down_back = _rises(values), _rises(negated)
-    up_on, down_on = _rises(values[::-1])[::-1], _rises(negated[::-1])[::-1]
-    distances = [(0, 0)] * len(ring)
-    for p, a, b, c, d in zip(ring, up_back, up_on, down_back, down_on):
-        # the shorter of the walks that exist; a walk of 0 steps is none
-        distances[p] = (b if not a or 0 < b < a else a, d if not c or 0 < d < c else c)
-    return dict(enumerate(distances))
+    with CollectorPaused():
+        ring = graph.depth_first_order()
+        values = [ids.ids[p] for p in ring]
+        negated = [-x for x in values]
+        up_back, down_back = _rises(values), _rises(negated)
+        up_on, down_on = _rises(values[::-1])[::-1], _rises(negated[::-1])[::-1]
+        distances = [(0, 0)] * len(ring)
+        for p, a, b, c, d in zip(ring, up_back, up_on, down_back, down_on):
+            # the shorter of the walks that exist; a walk of 0 steps is none
+            distances[p] = (b if not a or 0 < b < a else a, d if not c or 0 < d < c else c)
+        return dict(enumerate(distances))
 
 
 def _rises(values: list[int]) -> list[int]:

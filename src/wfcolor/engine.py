@@ -47,6 +47,7 @@ from .protocols import (
     ProtocolState,
     Return,
     View,
+    _continue,
     initial_state,
     new_states,
 )
@@ -319,7 +320,9 @@ def _run_steps(
     sorted(at(t) - returned): apply_step's copy of the activation set, its
     range check and its record flag are per-call work that such a run does
     not need, since run checks the scheduler's node count and schedulers
-    check their nodes. Both loops count the step with Execution._moved.
+    check their nodes. A step with no working mover calls no step at all:
+    it writes, reads and decides nothing, so it is only counted. Both loops
+    count every step, empty or not, with Execution._moved.
     """
     returned, n = execution.returned, execution.graph.node_count
     at, support_after = scheduler.at, scheduler.support_after
@@ -328,7 +331,7 @@ def _run_steps(
         adjacency, activate = execution.graph.adjacency, execution._activate
         for t in range(1, horizon + 1):
             movers = sorted(at(t).difference(returned))
-            moved(movers, step(registers, states, movers, adjacency, activate)[1])
+            moved(movers, step(registers, states, movers, adjacency, activate)[1] if movers else ())
             support = support_after(t + 1)  # None: every node
             if len(returned) == n if support is None else returned.keys() >= support:
                 return execution.last_move
@@ -536,7 +539,7 @@ def read_trace(path: str) -> Trace:
                 for p, d in record.decisions.items():
                     if type(d) is Continue and shared.setdefault(d.state, d.state) is not d.state:
                         states[p] = shared[d.state]
-                        record.decisions[p] = Continue(states[p])
+                        record.decisions[p] = _continue((states[p],))
                 expected = step_line(record)
                 if expected != line:
                     raise ValueError(_difference(line, expected, n, record.t))

@@ -30,7 +30,7 @@ from itertools import chain, repeat
 import numpy as np
 
 from .engine import Execution
-from .protocols import FAST5, INFINITE, SLOW5, SLOW6, Continue, Return, mex, new_states
+from .protocols import FAST5, INFINITE, SLOW5, SLOW6, _continue, _return, mex, new_states
 from .schedulers import CrashSched, RandomSched, Scheduler, Synchronous, random_stream
 
 X, A, B, R = range(4)  # the rows of a state or register table
@@ -209,7 +209,7 @@ class _Record:
     @cached_property
     def decisions(self) -> dict:
         states = _states(self._protocol, self._new)
-        decisions = [Return(c) if ret else Continue(s) for ret, c, s
+        decisions = [_return((c,)) if ret else _continue((s,)) for ret, c, s
                      in zip(self._returns.tolist(), _colors(self._colors), states)]
         return dict(zip(self.movers.tolist(), decisions))
 

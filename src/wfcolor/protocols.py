@@ -11,6 +11,12 @@ counter a run reaches. An unwritten neighbor register reads as None; it
 equals no color and contributes to no comparison set, so a process that sees
 only unwritten registers returns immediately.
 
+A transition builds its Return, Continue and ProtocolState through
+_return, _continue and _new_state: tuple.__new__ bound to each class, which
+gives the same namedtuple at C speed, without the class's Python-level
+__new__. Each takes the tuple of all fields; a state's has all four, with r
+None but for fast5, since no default fills in a missing one.
+
 slow6   two-sided color pair (a, b), palette {(a, b) : a + b <= 2}, cycles
 slow5   scalar color from {0..4} chosen between the a and b components, cycles
 fast5   slow5 plus a counter-gated identifier reduction, cycles
@@ -46,7 +52,18 @@ class ProtocolState(NamedTuple):
     r: int | None = None
 
 
-_new_state = partial(tuple.__new__, ProtocolState)  # ProtocolState(*fields), at C speed
+class Return(NamedTuple):
+    color: Union[int, tuple[int, int]]
+
+
+class Continue(NamedTuple):
+    state: ProtocolState
+
+
+# Class(*fields) at C speed, given the tuple of all fields (see above)
+_new_state = partial(tuple.__new__, ProtocolState)
+_return = partial(tuple.__new__, Return)
+_continue = partial(tuple.__new__, Continue)
 
 
 class CollectorPaused:
@@ -71,14 +88,6 @@ def new_states(fields: Iterable[tuple]) -> list[ProtocolState]:
     C-level pass, with the collector paused."""
     with CollectorPaused():
         return list(map(_new_state, fields))
-
-
-class Return(NamedTuple):
-    color: Union[int, tuple[int, int]]
-
-
-class Continue(NamedTuple):
-    state: ProtocolState
 
 
 Decision = Union[Return, Continue]
@@ -123,10 +132,10 @@ def deltasq_activate(state: ProtocolState, views: Sequence[View]) -> Decision:
         elif v.x < x:
             below |= 1 << v.b
     if fresh:
-        return Return((a, b))
+        return _return(((a, b),))
     a = ((above + 1) & ~above).bit_length() - 1
     b = ((below + 1) & ~below).bit_length() - 1
-    return Continue(ProtocolState(x, a, b))
+    return _continue((_new_state((x, a, b, None)),))
 
 
 def _five_color_step(state: ProtocolState, views: Sequence[View]) -> Return | tuple[int, int]:
@@ -142,9 +151,9 @@ def _five_color_step(state: ProtocolState, views: Sequence[View]) -> Return | tu
         if v.x > x:
             above |= bits
     if not seen >> state.a & 1:
-        return Return(state.a)
+        return _return((state.a,))
     if not seen >> state.b & 1:
-        return Return(state.b)
+        return _return((state.b,))
     a = ((above + 1) & ~above).bit_length() - 1
     b = ((seen + 1) & ~seen).bit_length() - 1
     return a, b
@@ -175,7 +184,7 @@ def slow5_activate(state: ProtocolState, views: Sequence[View]) -> Decision:
     step = _five_color_step(state, views)
     if type(step) is Return:
         return step
-    return Continue(ProtocolState(state.x, *step))
+    return _continue((_new_state((state.x, *step, None)),))
 
 
 def fast5_activate(state: ProtocolState, views: Sequence[View]) -> Decision:
@@ -216,7 +225,7 @@ def fast5_activate(state: ProtocolState, views: Sequence[View]) -> Decision:
             r = INFINITE
             if x < lo:
                 next_x = min(x, mex((cv_reduce(v0.x, x), cv_reduce(v1.x, x))))
-    return Continue(ProtocolState(next_x, a, b, r))
+    return _continue((_new_state((next_x, a, b, r)),))
 
 
 ACTIVATE = {

@@ -320,13 +320,17 @@ def make_scheduler(descriptor: Descriptor | str, node_count: int) -> Scheduler:
 
 def _max_working_activations(
     graph: Graph, ids: IdAssignment, protocol: str, sets: Sequence[frozenset[int]]
-) -> int:
+) -> tuple[int, int]:
+    """The most working activations of any node when a fresh execution runs
+    sets in order, stopping once every node has returned, and the number of
+    sets it applied: len(sets) when some node never returned. A schedule
+    that agrees with sets on that many first sets gives the same two."""
     ex = new_execution(graph, ids, protocol)
-    for s in sets:
+    for count, s in enumerate(sets, 1):
         ex.apply_step(s, record=False)
         if ex.all_returned():
-            break
-    return max(ex.activations)
+            return max(ex.activations), count
+    return max(ex.activations), len(sets)
 
 
 def worst_case_search(
@@ -341,7 +345,13 @@ def worst_case_search(
     Mutates the incumbent schedule (resampling whole steps or toggling single
     activations), keeps mutants that do not lose ground, and restarts from a
     fresh random schedule after a stall. Schedules have 6n + 24 steps.
-    Deterministic for a given seed; budget counts schedule evaluations.
+    Deterministic for a given seed; budget counts candidate schedules.
+
+    A mutant changes no step before the least index it touched. When that
+    index is at or past the number of steps the incumbent's run applied
+    before every node returned, the mutant's run is the incumbent's up to
+    there, so it takes the incumbent's value without a run. The rng draws
+    the same either way, so the result is that of running every candidate.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -354,29 +364,36 @@ def worst_case_search(
             frozenset(p for p in range(n) if rng.random() < 0.5) for _ in range(steps)
         ]
 
-    def mutate(sets: list[frozenset[int]]) -> list[frozenset[int]]:
+    def mutate(sets: list[frozenset[int]]) -> tuple[list[frozenset[int]], int]:
+        """A mutant of sets, and the least index it touched."""
         out = list(sets)
+        least = steps
         for _ in range(rng.randint(1, 3)):
             i = rng.randrange(steps)
+            least = min(least, i)
             if rng.random() < 0.5:
                 out[i] = frozenset(p for p in range(n) if rng.random() < 0.5)
             else:
                 p = rng.randrange(n)
                 out[i] = out[i] - {p} if p in out[i] else out[i] | {p}
-        return out
+        return out, least
 
     current = random_schedule()
-    current_value = _max_working_activations(graph, ids, protocol, current)
+    current_value, current_count = _max_working_activations(graph, ids, protocol, current)
     best, best_value = current, current_value
     evaluations = 1
     stall = 0
     while evaluations < budget:
         restart = stall >= 40
-        candidate = random_schedule() if restart else mutate(current)
-        value = _max_working_activations(graph, ids, protocol, candidate)
+        # a restart may change every step, the first included
+        candidate, least = (random_schedule(), 0) if restart else mutate(current)
+        if least < current_count:
+            value, count = _max_working_activations(graph, ids, protocol, candidate)
+        else:
+            value, count = current_value, current_count
         evaluations += 1
         if restart or value >= current_value:
-            current, current_value = candidate, value
+            current, current_value, current_count = candidate, value, count
         if value > best_value:
             best, best_value = candidate, value
             stall = 0

@@ -897,3 +897,34 @@ def test_the_no_record_loop_stops_where_the_recording_loop_stops(
     fast, reference = runs_without_and_with_records(protocol, n, 3, text, horizon)
     assert_same_outcome(fast, reference)
     assert (fast[1].tstar, fast[0]._t) == (tstar, steps)
+
+
+@pytest.mark.parametrize("protocol, n, text, horizon", [
+    *[(protocol, 7, f"rand:0.05:{s}", None) for protocol in PROTOCOLS for s in (1, 2, 3)],
+    ("slow6", 12, "rr", None),  # rr keeps landing on nodes that have returned
+    ("slow5", 9, "rr", None),
+    ("fast5", 5, "replay:@0,1||||2|||1,2,3||4|0,1,2,3,4||||||", None),  # trailing empty sets
+    ("slow6", 4, "replay:@|||0|1||||2,3|||||", None),
+    ("deltasq", 6, "crash:0@2,1@2,2@3,3@1,4@4;rr", None),  # one node stays up
+    ("slow5", 6, "crash:1@1,2@2,3@2,4@1,5@3;rand:0.3:4", None),
+    ("slow6", 5, "replay:@0||||||||||3", 6),  # the horizon runs out on empty steps
+    ("fast5", 3, "rand:0.05:9", 5),
+])
+def test_an_empty_step_is_counted_without_a_step_call(monkeypatch, protocol, n, text, horizon):
+    calls = []
+
+    def counted_step(registers, states, movers, adjacency, activate):
+        calls.append(len(movers))
+        return step(registers, states, movers, adjacency, activate)
+
+    monkeypatch.setattr(wfcolor.engine, "step", counted_step)
+    if horizon is None:
+        horizon = default_horizon(protocol, n)
+    fast, reference = runs_without_and_with_records(protocol, n, 5, text, horizon)
+    assert_same_outcome(fast, reference)
+    movers = [len(record.decisions) for record in reference[1].steps]
+    assert 0 in movers  # the case has empty steps to skip
+    # the no-record loop, which runs first, calls step on the non-empty steps only
+    assert calls == [k for k in movers if k] + movers
+    if horizon < default_horizon(protocol, n):
+        assert (fast[1].tstar, fast[0]._t) == (None, horizon)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from wfcolor.protocols import (
+    ACTIVATE,
     Continue,
     DELTASQ,
     FAST5,
@@ -312,3 +313,46 @@ def test_palette_membership():
 )
 def test_palette_rejects_colors_that_are_not_its_naturals(protocol, color, delta):
     assert not palette_ok(protocol, color, delta)
+
+
+# --- the decisions' types -----------------------------------------------------
+
+@st.composite
+def any_activation(draw):
+    """A protocol, a state and views for it: views may be unwritten (None),
+    two neighbors may share an id, as proper:<k> ids let them, and fast5
+    counters may be frozen at INFINITE."""
+    protocol = draw(st.sampled_from([SLOW6, SLOW5, FAST5, DELTASQ]))
+    counters = st.sampled_from([0, 1, 2, INFINITE])
+    x = draw(st.integers(min_value=0, max_value=6))
+    a = draw(colors)
+
+    def r():
+        return draw(counters) if protocol == FAST5 else None
+
+    b = a + draw(colors) if protocol in (SLOW5, FAST5) else draw(colors)  # slow5 keeps b >= a
+    state = ProtocolState(x, a, b, r())
+    degree = draw(st.integers(min_value=0, max_value=4)) if protocol == DELTASQ else 2
+    views = []
+    for _ in range(degree):
+        if draw(st.booleans()):
+            vx = draw(st.integers(min_value=0, max_value=6).filter(lambda v: v != x))
+            views.append(ProtocolState(vx, draw(colors), draw(colors), r()))
+        else:
+            views.append(None)
+    return protocol, state, tuple(views)
+
+
+@given(any_activation())
+def test_decisions_are_exactly_their_namedtuples(case):
+    protocol, state, views = case
+    decision = ACTIVATE[protocol](state, views)
+    assert type(decision) in (Return, Continue)
+    if type(decision) is Return:
+        assert len(decision) == 1
+        assert decision == Return(decision.color)
+        return
+    new = decision.state
+    assert type(new) is ProtocolState and len(new) == 4
+    assert (new.r is None) == (protocol != FAST5)
+    assert decision == Continue(ProtocolState(new.x, new.a, new.b, new.r))

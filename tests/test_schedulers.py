@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from wfcolor import protocols, schedulers
@@ -413,3 +415,116 @@ def test_exhaustive_counts_the_violating_step_as_a_transition():
     report = exhaustive_check(g, explicit_ids(g, [1, 2, 5]), "slow6", 2)
     assert (report.explored, report.memo_hits, report.transitions, report.max_depth) == (
         14, 13, 27, 3)
+
+
+def reference_worst_case_search(graph, ids, protocol, budget, seed):
+    """worst_case_search as it reads without its skip: every candidate runs,
+    from the same rng draws."""
+    n = graph.node_count
+    rng = random.Random(f"worstcase:{seed}")
+    steps = 6 * n + 24
+
+    def random_schedule():
+        return [frozenset(p for p in range(n) if rng.random() < 0.5) for _ in range(steps)]
+
+    def mutate(sets):
+        out = list(sets)
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(steps)
+            if rng.random() < 0.5:
+                out[i] = frozenset(p for p in range(n) if rng.random() < 0.5)
+            else:
+                p = rng.randrange(n)
+                out[i] = out[i] - {p} if p in out[i] else out[i] | {p}
+        return out
+
+    def value(sets):
+        ex = new_execution(graph, ids, protocol)
+        for s in sets:
+            ex.apply_step(s, record=False)
+            if ex.all_returned():
+                break
+        return max(ex.activations)
+
+    current = random_schedule()
+    current_value = value(current)
+    best, best_value = current, current_value
+    stall = 0
+    for _ in range(budget - 1):
+        restart = stall >= 40
+        candidate = random_schedule() if restart else mutate(current)
+        candidate_value = value(candidate)
+        if restart or candidate_value >= current_value:
+            current, current_value = candidate, candidate_value
+        if candidate_value > best_value:
+            best, best_value = candidate, candidate_value
+            stall = 0
+        else:
+            stall = 0 if restart else stall + 1
+    return ReplaySched(tuple(best)), best_value
+
+
+SEARCHES = [
+    (protocol, n, None, seed, budget)
+    for protocol, sizes in (("slow6", (3, 5, 8)), ("slow5", (4, 6, 7)), ("deltasq", (3, 8)))
+    for n in sizes
+    for seed, budget in ((0, 1), (n, 60), (3 * n + 1, 300))
+] + [("slow5", 3, (1, 2, 5), seed, budget) for seed, budget in ((0, 100), (4, 300))] + [
+    # a mutant of the incumbent's last step changes the value here
+    ("slow6", 3, None, 1, 300),
+    ("deltasq", 3, None, 6, 300),
+]
+
+
+@pytest.mark.parametrize("protocol, n, explicit, seed, budget", SEARCHES)
+def test_worst_case_search_finds_what_running_every_candidate_finds(
+    protocol, n, explicit, seed, budget
+):
+    g = cycle(n)
+    ids = random_unique_ids(g, seed=seed) if explicit is None else explicit_ids(g, explicit)
+    expected = reference_worst_case_search(g, ids, protocol, budget, seed)
+    assert worst_case_search(g, ids, protocol, budget, seed) == expected
+
+
+def _return_after_20_activations(state, views):
+    if state.a == 20:
+        return protocols.Return(state.x)
+    return protocols.Continue(state._replace(a=state.a + 1))
+
+
+def test_worst_case_search_is_exact_where_schedules_do_not_end(monkeypatch):
+    # a node returns at its 21st activation, about what half of a schedule
+    # gives it, so some runs apply every step and are never skipped
+    monkeypatch.setitem(protocols.ACTIVATE, "slow5", _return_after_20_activations)
+    counts = []
+    measure = schedulers._max_working_activations
+
+    def measured(*args):
+        value, count = measure(*args)
+        counts.append(count)
+        return value, count
+
+    monkeypatch.setattr(schedulers, "_max_working_activations", measured)
+    g = cycle(3)
+    ids = explicit_ids(g, [1, 2, 5])
+    expected = reference_worst_case_search(g, ids, "slow5", 300, 2)
+    assert worst_case_search(g, ids, "slow5", 300, 2) == expected
+    steps = 6 * 3 + 24
+    assert steps in counts and min(counts) < steps
+    assert len(counts) < 300
+
+
+def test_worst_case_search_runs_fewer_candidates_than_its_budget(monkeypatch):
+    g = cycle(8)
+    ids = random_unique_ids(g, seed=0)
+    runs = []
+
+    def counted(*args):
+        runs.append(args)
+        return new_execution(*args)
+
+    monkeypatch.setattr(schedulers, "new_execution", counted)
+    found = worst_case_search(g, ids, "slow6", budget=2000, seed=0)
+    assert len(runs) < 2000
+    monkeypatch.undo()
+    assert found == reference_worst_case_search(g, ids, "slow6", 2000, 0)
