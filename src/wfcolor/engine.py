@@ -21,14 +21,15 @@ Traces serialize as line-delimited JSON: a header line, one line per step
 with fields t/act/w/rd/dec, and a final line with out/tstar. Identical
 inputs produce byte-identical trace files. `step_line` writes a step line
 straight as text, the same bytes as `json.dumps` with sorted keys.
-`read_trace` replays a trace: it accepts a step line only as the bytes
-that `step_line` writes for the step its act replays, so a trace it reads
-is an execution of its header.
+`read_trace` replays a trace: step t runs sigma(t) of the header's sched,
+and each line is accepted only as the bytes written for the replay, so a
+trace it reads is an execution of its header, schedule included.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import Callable, IO, Iterable, NamedTuple, Sequence
@@ -242,7 +243,8 @@ def run(
     A run that keeps its step records runs with the cyclic collector paused,
     as in new_states, observers included: the records hold no reference
     cycles, and the collections that their growing list sets off would walk
-    it again and again.
+    it again and again. The pause ends by moving them, unwalked, to the
+    oldest generation (see CollectorPaused).
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
@@ -256,7 +258,7 @@ def run(
         )
     steps: list[StepRecord] = []
     if keep_steps:
-        with CollectorPaused():
+        with CollectorPaused(keep=True):
             tstar = _run_steps(execution, scheduler, horizon, observers, steps)
     else:
         kernel = _kernel(execution, scheduler)
@@ -464,27 +466,12 @@ def parse_header(line: str) -> TraceHeader:
         raise ValueError(f"malformed trace header: {exc}") from None
 
 
-def _act(line: str) -> list[int]:
-    """A step line's act: sliced from the prefix that step_line writes, else
-    decoded from the line, whose bytes then differ from its replay's."""
-    if line.startswith('{"act":['):
-        text = line[8:line.find("]")]
-        try:
-            return list(map(int, text.split(","))) if text else []
-        except ValueError:
-            pass
-    act = json.loads(line)["act"]
-    if type(act) is not list or any(type(p) is not int for p in act):
-        raise ValueError(f"act {json.dumps(act)} is not a list of node indices")
-    return act
-
-
 def _difference(line: str, expected: str, n: int, t: int | None = None) -> str:
     """The first thing in which a line differs from expected, the line that
     the replay of step t (of the whole trace, for None) writes: a field it
     lacks, its step number, a node outside the graph, or a node's entry in
     a field. Entries are compared as JSON text, so true is not taken for 1."""
-    raw, replay = json.loads(line), json.loads(expected)  # an object: its act or tstar was read
+    raw, replay = json.loads(line), json.loads(expected)  # .keys() fails on a non-object
     whose = "the replay" if t is None else f"the replay of step {t}"
     if replay.keys() - raw.keys():
         return f"no field {min(replay.keys() - raw.keys())!r}"
@@ -509,25 +496,36 @@ def _difference(line: str, expected: str, n: int, t: int | None = None) -> str:
 
 
 def read_trace(path: str) -> Trace:
-    """A trace file, read by replaying it. A fresh execution of the header
-    runs each step line's act; the line is accepted only as the bytes that
-    step_line writes for the replayed step, and the final line only as
-    final_line writes the replayed trace with its tstar. A ValueError names
-    the file, the 1-based line of the first line that fails, and what in it
-    differs from the replay.
+    """A trace file, read by replaying it: at step line t, a fresh execution
+    of the header runs at(t) of the scheduler that the header's sched
+    builds. That sched must be the scheduler's text, and must not name a
+    schedule file, which is never opened. Each line, with its newline, is
+    accepted only as written for the replay: a step line by step_line, the
+    final line by final_line with its tstar, and last the header by
+    header_line. A ValueError names the file, the 1-based line of the
+    first line that fails, and what in it differs from the replay.
 
     The replay interns the initial states and each Continue state through
     one dict, so equal register records are one shared ProtocolState. The
-    collector is paused meanwhile, as in new_states."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    collector is paused meanwhile, and its pause ends as run's does."""
+    from .schedulers import make_scheduler  # schedulers imports this module
+
+    with open(path, encoding="utf-8", newline="") as fh:  # a "\r" is not a line end
+        *lines, unended = fh.read().split("\n")  # unended is "" in a whole file
+    if unended:
+        lines.append(unended)
     if len(lines) < 2:
         raise ValueError(f"trace file {path} is truncated")
     lineno = 1
-    with CollectorPaused():
+    with CollectorPaused(keep=True):
         try:
             header = parse_header(lines[0])
-            horizon, n = header.horizon, header.graph.node_count
+            horizon, n, sched = header.horizon, header.graph.node_count, header.sched
+            if "replay:" in sched.replace("replay:@", ""):  # an inline replay holds no 'replay:'
+                raise ValueError(f"sched {sched!r} names a schedule file, which is not opened")
+            scheduler = make_scheduler(sched, n)
+            if scheduler.text != sched:
+                raise ValueError(f"sched is {sched!r}, which is written {scheduler.text!r}")
             execution = new_execution(header.graph, header.ids, header.protocol)
             shared: dict[ProtocolState, ProtocolState] = {}
             states = execution._states = [shared.setdefault(s, s) for s in execution.states]
@@ -535,7 +533,7 @@ def read_trace(path: str) -> Trace:
             for lineno, line in enumerate(lines[1:-1], 2):
                 if lineno - 1 > horizon:
                     raise ValueError(f"step {lineno - 1} is past the header's horizon {horizon}")
-                record = execution.apply_step(_act(line))
+                record = execution.apply_step(scheduler.at(lineno - 1))
                 for p, d in record.decisions.items():
                     if type(d) is Continue and shared.setdefault(d.state, d.state) is not d.state:
                         states[p] = shared[d.state]
@@ -559,6 +557,13 @@ def read_trace(path: str) -> Trace:
             expected = final_line(trace)
             if expected != lines[-1]:
                 raise ValueError(_difference(lines[-1], expected, n))
+            if unended:
+                raise ValueError("no newline ends the final line")
+            lineno, expected = 1, header_line(header)
+            if expected != lines[0]:  # last, so that the other lines name their own faults
+                i = len(os.path.commonprefix([lines[0], expected]))
+                raise ValueError(f"the header has {lines[0][i:i + 12]!r} at column {i + 1}, "
+                                 f"where it is written {expected[i:i + 12]!r}")
         except json.JSONDecodeError:
             raise ValueError(f"trace file {path} line {lineno}: not a JSON line") from None
         except KeyError as exc:

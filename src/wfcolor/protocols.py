@@ -70,9 +70,15 @@ class CollectorPaused:
     """A block that runs with the cyclic collector paused, for one that
     builds many containers that cannot form a reference cycle: the
     collections that 10^5 new tuples set off would walk them all, and can
-    double the block's time."""
+    double the block's time. With keep=True, a pause that found the
+    collector on ends with gc.freeze() and gc.unfreeze(): every tracked
+    object goes unwalked to the oldest generation, which young collections
+    skip. This also releases any objects a caller had frozen."""
 
-    __slots__ = ("_enabled",)
+    __slots__ = ("_enabled", "_keep")
+
+    def __init__(self, keep: bool = False) -> None:
+        self._keep = keep
 
     def __enter__(self) -> None:
         self._enabled = gc.isenabled()
@@ -80,6 +86,9 @@ class CollectorPaused:
 
     def __exit__(self, *exc_info) -> None:
         if self._enabled:
+            if self._keep:
+                gc.freeze()
+                gc.unfreeze()
             gc.enable()
 
 

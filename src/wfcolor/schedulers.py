@@ -451,9 +451,9 @@ def exhaustive_check(
     (registers, states, outputs, activation counts), and checks at
     every new configuration that returned neighbors hold distinct in-palette
     colors and that no process worked past the activation bound. Each DFS
-    stack entry holds a configuration, a countdown into the subsets of its
-    working processes and the schedule to it; at the first violation the
-    witness is that schedule plus one step.
+    stack entry holds a configuration, its working subsets and a countdown
+    whose subset is the step to the entry above (or, at the top, the step
+    taken); at the first violation the witness is those steps, in order.
 
     A configuration holds small ints: each distinct ProtocolState gets an id
     the first time it appears, the unwritten register (None) is id 0, and
@@ -528,7 +528,7 @@ def exhaustive_check(
     report = McReport(explored=1)
     seen = {initial}
     first = subsets(initial[2])
-    stack = [[initial, first, len(first), ()]]
+    stack = [[initial, first, len(first)]]
 
     while stack:
         entry = stack[-1]
@@ -538,7 +538,7 @@ def exhaustive_check(
             continue
         left -= 1
         entry[2] = left
-        config, choices, _, schedule = entry
+        config, choices, _ = entry
         movers = choices[left]
         registers, states, outputs, counts = config
         new_registers = list(registers)
@@ -551,7 +551,7 @@ def exhaustive_check(
                 new_counts[p] += 1
                 if new_counts[p] > activation_bound:
                     report.bound_violations.append((p, new_counts[p]))
-                    report.bound_schedule = schedule + (movers,)
+                    report.bound_schedule = tuple(e[1][e[2]] for e in stack)
                     return report
             if type(decision) is Return:
                 new_outputs[p] = decision.color
@@ -564,12 +564,14 @@ def exhaustive_check(
                 ok = in_palette[color] = palette_ok(protocol, color, delta)
             if not ok:
                 detail = f"node {p} returned {color!r} outside the palette"
-                report.safety_violations.append(Counterexample(schedule + (movers,), detail))
+                schedule = tuple(e[1][e[2]] for e in stack)
+                report.safety_violations.append(Counterexample(schedule, detail))
                 return report
             for q in adjacency[p]:
                 if new_outputs[q] == color:
                     detail = f"adjacent nodes {q},{p} both returned {color!r}"
-                    report.safety_violations.append(Counterexample(schedule + (movers,), detail))
+                    schedule = tuple(e[1][e[2]] for e in stack)
+                    report.safety_violations.append(Counterexample(schedule, detail))
                     return report
         new_config = (
             tuple(new_registers),
@@ -588,6 +590,6 @@ def exhaustive_check(
             raise StateSpaceExceeded(f"explored more than {config_ceiling} configurations")
         if None in new_outputs:
             choices = subsets(new_outputs)
-            stack.append([new_config, choices, len(choices), schedule + (movers,)])
+            stack.append([new_config, choices, len(choices)])
             report.max_depth = max(report.max_depth, len(stack) - 1)
     return report

@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import os
+import random
+import string
 import subprocess
 import sys
 
@@ -451,7 +453,8 @@ def test_audit_of_a_broken_file_is_usage_error(tmp_path, capsys):
         # [1, 1, 0] is written earlier on the line: true is not taken for 1
         (2, {**step2, "rd": {**rd2, "0": [[True, 1, 0], rd2["0"][1]]}}, 3,
          "node 0 has rd [[true, 1, 0], [9, 0, 1]], the replay of step 2 [[1, 1, 0], [9, 0, 1]]"),
-        (1, {**step, "act": [0, True, 2]}, 2, "act [0, true, 2] is not a list of node indices"),
+        (1, {**step, "act": [0, True, 2]}, 2,
+         "act is [0, true, 2], the replay of step 1 [0, 1, 2]"),
         (0, {**header, "ids": {**header["ids"], "values": [5, True, 9]}}, 1,
          "identifier True is not an int"),
         (2, {**step2, "dec": {**dec2, "1": ["ret", "x"]}}, 3,
@@ -474,6 +477,114 @@ def test_audit_of_a_broken_file_is_usage_error(tmp_path, capsys):
         assert run_cli("audit", str(path)) == 2
         err = capsys.readouterr().err
         assert f"trace file {path} line {at}: " in err and problem in err, err
+
+
+def chain_traces(directory):
+    """The slow6 and fast5 traces that run --trace writes on the 5-node chain
+    under rand:0.5:3, as slow6.jsonl and fast5.jsonl."""
+    paths = [directory / f"{protocol}.jsonl" for protocol in ("slow6", "fast5")]
+    for path in paths:
+        assert run_cli("run", "--protocol", path.stem, "--n", "5", "--ids", "chain",
+                       "--sched", "rand:0.5:3", "--trace", str(path)) == 0
+    return paths
+
+
+def test_audit_accepts_only_traces_that_run_from_trace_rewrites(tmp_path, capsys):
+    """1,500 seeded edits of 1 to 3 printable bytes (replaced, inserted or
+    deleted) in two traces: audit exits 0, 1 or 2 and raises nothing, and
+    each file it reads is the file that run --from-trace writes for it."""
+    originals = [path.read_bytes() for path in chain_traces(tmp_path)]
+    edited, rewritten = tmp_path / "edited.jsonl", tmp_path / "rewritten.jsonl"
+    rng = random.Random(0)
+    alphabet = string.printable.encode()
+    refused = 0
+    for _ in range(1500):
+        data = rng.choice(originals)
+        i, k = rng.randrange(len(data)), rng.randint(1, 3)
+        new = bytes(rng.choice(alphabet) for _ in range(k))
+        kind = rng.choice(("replace", "insert", "delete"))
+        cut = i if kind == "insert" else i + k
+        data = data[:i] + (b"" if kind == "delete" else new) + data[cut:]
+        edited.write_bytes(data)
+        code = run_cli("audit", str(edited))
+        capsys.readouterr()
+        assert code in (0, 1, 2), (kind, i, new)
+        if code == 2:
+            refused += 1
+            continue
+        assert run_cli("run", "--from-trace", str(edited), "--trace", str(rewritten)) == code
+        capsys.readouterr()
+        assert rewritten.read_bytes() == data, (kind, i, new)
+    assert refused > 1400
+
+
+# each edit leaves the header well formed, and each was once read as the act lines' schedule
+SCHED_EDITS = [
+    ("and:0.5:3", 1, "unknown scheduler descriptor 'and:0.5:3'"),
+    ("rand:.5:3", 1, "sched is 'rand:.5:3', which is written 'rand:0.5:3'"),
+    ("rand:0.5:r", 1, "expected rand:<p>:<seed> with a number p and an integer seed, "
+                      "got 'rand:0.5:r'"),
+    ("rand9:0.5:3", 1, "unknown scheduler descriptor 'rand9:0.5:3'"),
+    ("rand:0.5:u3", 1, "expected rand:<p>:<seed> with a number p and an integer seed, "
+                       "got 'rand:0.5:u3'"),
+    ("rand:0.5:32", 2, "act is [], the replay of step 1 [2, 3, 4]"),
+]
+
+
+@pytest.mark.parametrize("sched, lineno, problem", SCHED_EDITS, ids=[e[0] for e in SCHED_EDITS])
+def test_audit_refuses_a_trace_whose_sched_is_edited(tmp_path, capsys, sched, lineno, problem):
+    for path in chain_traces(tmp_path):
+        text = path.read_text()
+        assert text.count('"sched":"rand:0.5:3"') == 1
+        path.write_text(text.replace('"sched":"rand:0.5:3"', f'"sched":"{sched}"'))
+        capsys.readouterr()
+        assert run_cli("audit", str(path)) == 2
+        assert f"trace file {path} line {lineno}: {problem}\n" in capsys.readouterr().err
+
+
+def test_audit_refuses_a_header_naming_a_schedule_file_that_run_from_trace_inlines(
+    tmp_path, capsys
+):
+    sched = tmp_path / "s.sched"
+    sched.write_text("0 1\n\n2 4\n0 1 2 3 4\n1 3\n")
+    inline = tmp_path / "inline.jsonl"
+    sets = "replay:@0,1||2,4|0,1,2,3,4|1,3"
+    assert run_cli("run", "--protocol", "slow5", "--n", "5", "--ids", "chain", "--sched", sets,
+                   "--trace", str(inline)) == 0
+    old = tmp_path / "old.jsonl"  # as versions that wrote the file's name in the header wrote it
+    rewritten = tmp_path / "rewritten.jsonl"
+    old.write_text(inline.read_text().replace(sets, f"replay:{sched}"))
+    assert run_cli("run", "--from-trace", str(old), "--trace", str(rewritten)) == 0
+    assert rewritten.read_bytes() == inline.read_bytes()
+    for missing in (False, True):
+        if missing:
+            sched.unlink()
+        for named in (f"replay:{sched}", f"crash:0@9;replay:{sched}"):
+            old.write_text(inline.read_text().replace(sets, named))
+            capsys.readouterr()
+            assert run_cli("audit", str(old)) == 2
+            assert (f"trace file {old} line 1: sched {named!r} names a schedule file, "
+                    "which is not opened\n") in capsys.readouterr().err
+
+
+def test_audit_refuses_a_header_or_line_ends_in_other_bytes(tmp_path, capsys):
+    path = chain_traces(tmp_path)[0]
+    text = path.read_text()
+    last = text.count("\n")
+    for edited, lineno, problem in (
+        (text[:-1], last, "no newline ends the final line"),
+        (text.replace("\n", "\r\n"), 2,
+         "the replay of step 1 writes the same fields in other bytes"),
+        (text.replace(',"seed"', ', "seed"', 1), 1,
+         "the header has ' \"seed\":0}' at column 157, where it is written '\"seed\":0}'"),
+        (text.replace('"n":5}', '"n":5 }', 1), 1,
+         "the header has ' },\"horizon\"' at column 56, where it is written '},\"horizon\":'"),
+        (text + "\n", last, "no field 'act'"),  # the final line is read as a step line
+    ):
+        path.write_text(edited, newline="")
+        capsys.readouterr()
+        assert run_cli("audit", str(path)) == 2
+        assert f"trace file {path} line {lineno}: {problem}\n" in capsys.readouterr().err
 
 
 def test_mc_negative_bound_is_usage_error(capsys):

@@ -520,7 +520,8 @@ def _return_early(lines, i):
          'node 0 has dec ["cont", null], the replay of step 1 ["cont", [3, 0, 1, 1]]'),
         (_edit_step(_null_decision("ret")),
          'node 0 has dec ["ret", null], the replay of step 1 ["cont", [3, 0, 1, 1]]'),
-        (_edit_step(lambda raw: raw["act"].append(9)), "unknown node index 9"),
+        (_edit_step(lambda raw: raw["act"].append(9)),
+         "act is [0, 1, 9], the replay of step 1 [0, 1]"),
         (_edit_step(lambda raw: raw["w"].update({"9": [1, 0, 0, 0]})), "unknown node index 9"),
         (_edit_step(lambda raw: raw["rd"].update({"9": [None, None]})), "unknown node index 9"),
         (_final_out(lambda out: out.update({"9": 0})), "unknown node index 9"),
@@ -535,8 +536,7 @@ def _return_early(lines, i):
          "node 0 has rd none, the replay of step 1 [[8, 0, 0, 0], null]"),
         (_edit_step(_drop_mover("dec")),
          'node 0 has dec none, the replay of step 1 ["cont", [3, 0, 1, 1]]'),
-        (_edit_step(_drop_mover("act")),
-         'node 0 has dec ["cont", [3, 0, 1, 1]], the replay of step 1 none'),
+        (_edit_step(_drop_mover("act")), "act is [1], the replay of step 1 [0, 1]"),
         (_edit_step(_write_record([[3], 0, 0, 0])),
          "node 0 has w [[3], 0, 0, 0], the replay of step 1 [3, 0, 0, 0]"),
         (_edit_step(_write_record(["3", 0, 0, 0])),
@@ -549,7 +549,7 @@ def _return_early(lines, i):
          "node 0 has w [true, 0, 0, 0], the replay of step 1 [3, 0, 0, 0]"),
         (_edit_step(_false_in_a_written_read),
          "node 0 has rd [[8, 0, 0, false], null], the replay of step 1 [[8, 0, 0, 0], null]"),
-        (_edit_step(_true_for_one), "act [0, true] is not a list of node indices"),
+        (_edit_step(_true_for_one), "act is [0, true], the replay of step 1 [0, 1]"),
         (_ret_color("x"), 'node 1 has dec ["ret", "x"], the replay of step 3 ["ret", 0]'),
         (_ret_color([[0], 0]), 'node 1 has dec ["ret", [[0], 0]], the replay of step 3 ["ret", 0]'),
         (_ret_color(True), 'node 1 has dec ["ret", true], the replay of step 3 ["ret", 0]'),
@@ -801,6 +801,28 @@ def test_a_run_that_keeps_records_leaves_the_collector_as_it_found_it(enabled):
         with pytest.raises(RuntimeError, match="observer failed"):
             run(triangle_execution(), make_scheduler("sync", 3), 100, observers=[failing])
         assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_kept_records_leave_the_young_generations(tmp_path):
+    """run with keep_steps and read_trace end their pauses by moving what
+    they built to the oldest generation, so no young collection walks it."""
+    def young_records():
+        return [o for gen in (0, 1) for o in gc.get_objects(gen) if type(o) is StepRecord]
+
+    was = gc.isenabled()
+    gc.enable()
+    try:
+        g = cycle(7)
+        trace = run(new_execution(g, monotone_chain_ids(7), "slow6"),
+                    make_scheduler("rand:0.5:3", 7), 400)
+        assert trace.steps and gc.is_tracked(trace.steps[0])
+        assert not young_records()
+        write_trace(trace, str(tmp_path / "trace.jsonl"))
+        loaded = read_trace(str(tmp_path / "trace.jsonl"))
+        assert loaded == trace and gc.is_tracked(loaded.steps[0])
+        assert not young_records()
     finally:
         (gc.enable if was else gc.disable)()
 

@@ -367,6 +367,26 @@ def test_exhaustive_reports_a_return_outside_the_palette(monkeypatch):
     assert counterexample.detail == "node 0 returned (3, 0) outside the palette"
 
 
+def test_exhaustive_safety_witness_replays_on_the_engine(monkeypatch):
+    # a fake transition returning (0, 0) at a node's third activation: the witness is read
+    # off a stack whose lower entries have already tried other subsets
+    def third_returns(state, views):
+        return protocols.Return((0, 0)) if state.a == 2 else protocols.Continue(
+            state._replace(a=state.a + 1))
+
+    monkeypatch.setitem(protocols.ACTIVATE, "slow6", third_returns)
+    g = cycle(3)
+    ids = explicit_ids(g, [1, 2, 5])
+    [counterexample] = exhaustive_check(g, ids, "slow6", None).safety_violations
+    assert len(counterexample.schedule) >= 3
+    ex = new_execution(g, ids, "slow6")
+    for movers in counterexample.schedule:
+        ex.apply_step(movers)
+    q, p = map(int, counterexample.detail.split()[2].split(","))
+    assert ex.returned[q] == ex.returned[p] == (0, 0)
+    assert counterexample.detail == f"adjacent nodes {q},{p} both returned (0, 0)"
+
+
 # (protocol, graph, ids, bound) -> (verdict, explored, memo_hits, max_activations):
 # these pin the DFS order and the merging of configurations, not only verdicts
 C4, C5, TRIANGLE = cycle(4), cycle(5), cycle(3)
