@@ -254,10 +254,10 @@ def cmd_audit(path: str) -> int:
 
 
 def _read_header(path: str) -> engine.TraceHeader:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         line = fh.readline()
     try:
-        return engine.parse_header(line)
+        return engine.parse_header(line.decode())
     except ValueError as exc:
         raise ConfigError(f"trace file {path}: {exc}") from None
 

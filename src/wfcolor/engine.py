@@ -19,11 +19,13 @@ outcome, and the kernel builds its tables from the ids alone.
 
 Traces serialize as line-delimited JSON: a header line, one line per step
 with fields t/act/w/rd/dec, and a final line with out/tstar. Identical
-inputs produce byte-identical trace files. `step_line` writes a step line
-straight as text, the same bytes as `json.dumps` with sorted keys.
-`read_trace` replays a trace: step t runs sigma(t) of the header's sched,
-and each line is accepted only as the bytes written for the replay, so a
-trace it reads is an execution of its header, schedule included.
+inputs produce byte-identical trace files. A `StepEncoder` writes the step
+lines of one trace straight as text, the same bytes as `json.dumps` with
+sorted keys; `step_line` is one with a fresh memo. `read_trace` streams a
+trace and replays it: step t runs sigma(t) of the header's sched, each line
+is accepted only as the bytes written for the replay, and the steps end
+where run stops, so a trace it reads is an execution of its header,
+schedule included.
 """
 
 from __future__ import annotations
@@ -369,37 +371,77 @@ def header_line(header: TraceHeader) -> str:
     )
 
 
-def _register_text(rec: View) -> str:
-    if rec is None:
-        return "null"
-    x, a, b, r = rec
-    if r is None:
-        return f"[{x},{a},{b}]"
-    if r == INFINITE:
-        return f'[{x},"inf",{a},{b}]'
-    return f"[{x},{r},{a},{b}]"
+def _return_text(decision: Return) -> str:
+    color = decision.color
+    if type(color) is int:
+        return f'["ret",{color}]'
+    return f'["ret",[{",".join(map(str, color))}]]'
 
 
-def _decision_text(decision: Decision) -> str:
-    if type(decision) is Return:
-        color = decision.color
-        if type(color) is int:
-            return f'["ret",{color}]'
-        return f'["ret",[{",".join(map(str, color))}]]'
-    return f'["cont",{_register_text(decision.state)}]'
+class _RegisterTexts(dict):
+    """Register record -> its text, formatted on first lookup, in a dict
+    that empties itself before it would hold more than limit entries. Equal
+    records have one text, as every register field is an int: IdAssignment
+    refuses bools and floats, which compare equal to ints."""
+
+    def __init__(self, limit: int):
+        self.limit = limit
+
+    def __missing__(self, rec: View) -> str:
+        if len(self) >= self.limit:
+            self.clear()
+        if rec is None:
+            text = "null"
+        else:
+            x, a, b, r = rec
+            if r is None:
+                text = f"[{x},{a},{b}]"
+            elif r == INFINITE:
+                text = f'[{x},"inf",{a},{b}]'
+            else:
+                text = f"[{x},{r},{a},{b}]"
+        self[rec] = text
+        return text
+
+
+class StepEncoder:
+    """step_line for the steps of one trace on node_count nodes. Each node's
+    name is built once, and each register's text once per value, in a memo
+    of at most 4 * node_count + 64 entries, so a writer's memory stays flat
+    in the number of steps.
+
+    A node's key is its name, its index as a string, so "10" sorts before
+    "2": one sort of the movers by name gives the order of json.dumps's
+    sorted keys for w, rd and dec, which hold the same movers."""
+
+    def __init__(self, node_count: int):
+        self._names = [str(p) for p in range(node_count)]
+        self.texts = _RegisterTexts(4 * node_count + 64)
+
+    def __call__(self, record: StepRecord) -> str:
+        names, texts = self._names, self.texts
+        writes, reads, decisions = record.writes, record.reads, record.decisions
+        w, rd, dec = [], [], []
+        for p in sorted(writes, key=names.__getitem__):
+            name = names[p]
+            w.append(f'"{name}":{texts[writes[p]]}')
+            views = reads[p]
+            if len(views) == 2:  # every node of a cycle
+                rd.append(f'"{name}":[{texts[views[0]]},{texts[views[1]]}]')
+            else:
+                rd.append(f'"{name}":[{",".join(map(texts.__getitem__, views))}]')
+            d = decisions[p]
+            dec.append(f'"{name}":["cont",{texts[d.state]}]' if type(d) is Continue
+                       else f'"{name}":{_return_text(d)}')
+        act = ",".join(map(names.__getitem__, record.activated))
+        return (f'{{"act":[{act}],"dec":{{{",".join(dec)}}},"rd":{{{",".join(rd)}}},'
+                f'"t":{record.t},"w":{{{",".join(w)}}}}}')
 
 
 def step_line(record: StepRecord) -> str:
     """The step's line, built as text: the bytes that json.dumps with sorted
-    keys gives for its fields. A node's key is its index as a string, so
-    "10" sorts before "2"; as '"' sorts before every digit, sorting whole
-    '"p":value' entries sorts them by key."""
-    w = ",".join(sorted([f'"{p}":{_register_text(s)}' for p, s in record.writes.items()]))
-    rd = ",".join(sorted([f'"{p}":[{",".join(map(_register_text, views))}]'
-                          for p, views in record.reads.items()]))
-    dec = ",".join(sorted([f'"{p}":{_decision_text(d)}' for p, d in record.decisions.items()]))
-    act = ",".join(map(str, record.activated))
-    return f'{{"act":[{act}],"dec":{{{dec}}},"rd":{{{rd}}},"t":{record.t},"w":{{{w}}}}}'
+    keys gives for its fields. It is a StepEncoder's line, with a fresh memo."""
+    return StepEncoder(1 + max(chain(record.activated, record.writes), default=-1))(record)
 
 
 def final_line(trace: Trace) -> str:
@@ -421,17 +463,20 @@ def write_trace(trace: Trace, path: str) -> None:
 
 
 class TraceFileWriter:
-    """Streaming observer writing trace lines as steps happen; memory stays
-    flat regardless of run size. Call finish() with the completed trace."""
+    """Streaming observer writing trace lines as steps happen, through one
+    StepEncoder; memory stays flat regardless of run size. Call finish()
+    with the completed trace; it drops the encoder's memo."""
 
     def __init__(self, fh: IO[str], header: TraceHeader):
         self._fh = fh
+        self._encode = StepEncoder(header.graph.node_count)
         fh.write(header_line(header) + "\n")
 
     def __call__(self, record: StepRecord) -> None:
-        self._fh.write(step_line(record) + "\n")
+        self._fh.write(self._encode(record) + "\n")
 
     def finish(self, trace: Trace) -> None:
+        self._encode = None
         self._fh.write(final_line(trace) + "\n")
 
 
@@ -500,26 +545,29 @@ def read_trace(path: str) -> Trace:
     of the header runs at(t) of the scheduler that the header's sched
     builds. That sched must be the scheduler's text, and must not name a
     schedule file, which is never opened. Each line, with its newline, is
-    accepted only as written for the replay: a step line by step_line, the
-    final line by final_line with its tstar, and last the header by
-    header_line. A ValueError names the file, the 1-based line of the
-    first line that fails, and what in it differs from the replay.
+    accepted only as written for the replay: a step line by one StepEncoder,
+    the final line by final_line with its tstar, and last the header by
+    header_line. The steps end where run's loop stops: no step line may
+    follow a step after which every node of support_after(t + 1) has
+    returned, and tstar is null only when the run did not stop. A
+    ValueError names the file, the 1-based line of the first line that
+    fails, undecodable bytes included, and what in it differs from the
+    replay.
 
-    The replay interns the initial states and each Continue state through
-    one dict, so equal register records are one shared ProtocolState. The
+    The file is read line by line, as bytes: only b"\n" ends a line. The
+    replay interns the initial states and each Continue state through one
+    dict, so equal register records are one shared ProtocolState. The
     collector is paused meanwhile, and its pause ends as run's does."""
     from .schedulers import make_scheduler  # schedulers imports this module
 
-    with open(path, encoding="utf-8", newline="") as fh:  # a "\r" is not a line end
-        *lines, unended = fh.read().split("\n")  # unended is "" in a whole file
-    if unended:
-        lines.append(unended)
-    if len(lines) < 2:
-        raise ValueError(f"trace file {path} is truncated")
-    lineno = 1
-    with CollectorPaused(keep=True):
+    with open(path, "rb") as fh, CollectorPaused(keep=True):
+        first, line = fh.readline(), fh.readline()  # a line follows the header
+        if not line:
+            raise ValueError(f"trace file {path} is truncated")
+        lineno = 1
         try:
-            header = parse_header(lines[0])
+            head = first.decode()[:-1]
+            header = parse_header(head)
             horizon, n, sched = header.horizon, header.graph.node_count, header.sched
             if "replay:" in sched.replace("replay:@", ""):  # an inline replay holds no 'replay:'
                 raise ValueError(f"sched {sched!r} names a schedule file, which is not opened")
@@ -527,23 +575,36 @@ def read_trace(path: str) -> Trace:
             if scheduler.text != sched:
                 raise ValueError(f"sched is {sched!r}, which is written {scheduler.text!r}")
             execution = new_execution(header.graph, header.ids, header.protocol)
+            returned = execution.returned
             shared: dict[ProtocolState, ProtocolState] = {}
             states = execution._states = [shared.setdefault(s, s) for s in execution.states]
+            encode = StepEncoder(n)
             steps = []
-            for lineno, line in enumerate(lines[1:-1], 2):
-                if lineno - 1 > horizon:
-                    raise ValueError(f"step {lineno - 1} is past the header's horizon {horizon}")
-                record = execution.apply_step(scheduler.at(lineno - 1))
+            stopped = False
+            for lineno, following in enumerate(fh, 2):  # a line follows: line is a step line
+                t, line = lineno - 1, line.decode()  # drops the bytes
+                if t > horizon:
+                    raise ValueError(f"step {t} is past the header's horizon {horizon}")
+                record = execution.apply_step(scheduler.at(t))
                 for p, d in record.decisions.items():
                     if type(d) is Continue and shared.setdefault(d.state, d.state) is not d.state:
                         states[p] = shared[d.state]
                         record.decisions[p] = _continue((states[p],))
-                expected = step_line(record)
-                if expected != line:
-                    raise ValueError(_difference(line, expected, n, record.t))
+                expected = encode(record)
+                # line ends in its newline; compared in place, as it may be 10^5 bytes long
+                if len(line) != len(expected) + 1 or not line.startswith(expected):
+                    raise ValueError(_difference(line[:-1], expected, n, t))
+                if stopped:  # a line written for the replay, which has no more steps
+                    raise ValueError(f"step {t} is past the run's end at step {t - 1}, where "
+                                     f"every node the schedule may still activate has returned")
                 steps.append(record)
-            lineno = len(lines)
-            tstar = json.loads(lines[-1])["tstar"]
+                support = scheduler.support_after(t + 1)  # as run's loop asks it
+                stopped = len(returned) == n if support is None else returned.keys() >= support
+                line = following
+            lineno, final = len(steps) + 2, line.decode()
+            ended = final.endswith("\n")
+            final = final[:-1] if ended else final
+            tstar = json.loads(final)["tstar"]
             last, moved = len(steps), execution.last_move
             if tstar is not None and not (type(tstar) is int and 0 <= tstar <= last):
                 raise ValueError(f"tstar {tstar!r} is neither null nor a step from 0 to {last}")
@@ -552,17 +613,22 @@ def read_trace(path: str) -> Trace:
                                  f"before the horizon {horizon}")
             if tstar is not None and tstar != moved:
                 raise ValueError(f"tstar {tstar} is not {moved}, the last step with a decision")
-            trace = Trace(header, steps, dict(execution.returned),
+            if tstar is None and stopped:
+                raise ValueError(f"tstar is null, but the run stops after step {last}")
+            if tstar is not None and not stopped:
+                raise ValueError(f"tstar is {tstar}, but the run goes on after step {last}: "
+                                 f"a node the schedule may still activate is working")
+            trace = Trace(header, steps, dict(returned),
                           dict(enumerate(execution.activations)), tstar)
             expected = final_line(trace)
-            if expected != lines[-1]:
-                raise ValueError(_difference(lines[-1], expected, n))
-            if unended:
+            if expected != final:
+                raise ValueError(_difference(final, expected, n))
+            if not ended:
                 raise ValueError("no newline ends the final line")
             lineno, expected = 1, header_line(header)
-            if expected != lines[0]:  # last, so that the other lines name their own faults
-                i = len(os.path.commonprefix([lines[0], expected]))
-                raise ValueError(f"the header has {lines[0][i:i + 12]!r} at column {i + 1}, "
+            if expected != head:  # last, so that the other lines name their own faults
+                i = len(os.path.commonprefix([head, expected]))
+                raise ValueError(f"the header has {head[i:i + 12]!r} at column {i + 1}, "
                                  f"where it is written {expected[i:i + 12]!r}")
         except json.JSONDecodeError:
             raise ValueError(f"trace file {path} line {lineno}: not a JSON line") from None

@@ -83,6 +83,11 @@ def format_descriptor(descriptor: Descriptor) -> str:
     raise ValueError(f"unknown descriptor {descriptor!r}")
 
 
+# the most crash: prefixes a descriptor nests: Scheduler, format_descriptor
+# and kernel._activation_masks recurse once per prefix
+CRASH_DEPTH_LIMIT = 100
+
+
 def parse_descriptor(text: str) -> Descriptor:
     if text == "sync":
         return Synchronous()
@@ -98,18 +103,27 @@ def parse_descriptor(text: str) -> Descriptor:
             raise ValueError(f"expected rand:<p>:<seed> with a number p and an "
                              f"integer seed, got {text!r}") from None
     if text.startswith("crash:"):
-        body = text[len("crash:"):]
-        if ";" not in body:
-            raise ValueError(f"expected crash:<node>@<t>,...;<base>, got {text!r}")
-        pairs_text, base_text = body.split(";", 1)
-        pairs = []
-        for item in pairs_text.split(","):
-            try:
-                node_text, time_text = item.split("@")
-                pairs.append((int(node_text), int(time_text)))
-            except ValueError:
-                raise ValueError(f"crash item {item!r} in {text!r} is not <node>@<t>") from None
-        return CrashSched(parse_descriptor(base_text), tuple(pairs))
+        crashes = []  # each prefix's pairs, outermost first, parsed in a loop
+        while text.startswith("crash:"):
+            if len(crashes) == CRASH_DEPTH_LIMIT:
+                raise ValueError(f"a descriptor nests at most {CRASH_DEPTH_LIMIT} crash: prefixes")
+            body = text[len("crash:"):]
+            if ";" not in body:
+                raise ValueError(f"expected crash:<node>@<t>,...;<base>, got {text!r}")
+            pairs_text, base_text = body.split(";", 1)
+            pairs = []
+            for item in pairs_text.split(","):
+                try:
+                    node_text, time_text = item.split("@")
+                    pairs.append((int(node_text), int(time_text)))
+                except ValueError:
+                    raise ValueError(f"crash item {item!r} in {text!r} is not <node>@<t>") from None
+            crashes.append(tuple(pairs))
+            text = base_text
+        descriptor = parse_descriptor(text)  # not a crash: text
+        for pairs in reversed(crashes):
+            descriptor = CrashSched(descriptor, pairs)
+        return descriptor
     if text.startswith("replay:@"):
         body = text[len("replay:@"):]
         if not body:

@@ -496,25 +496,19 @@ def test_audit_accepts_only_traces_that_run_from_trace_rewrites(tmp_path, capsys
     originals = [path.read_bytes() for path in chain_traces(tmp_path)]
     edited, rewritten = tmp_path / "edited.jsonl", tmp_path / "rewritten.jsonl"
     rng = random.Random(0)
-    alphabet = string.printable.encode()
     refused = 0
     for _ in range(1500):
-        data = rng.choice(originals)
-        i, k = rng.randrange(len(data)), rng.randint(1, 3)
-        new = bytes(rng.choice(alphabet) for _ in range(k))
-        kind = rng.choice(("replace", "insert", "delete"))
-        cut = i if kind == "insert" else i + k
-        data = data[:i] + (b"" if kind == "delete" else new) + data[cut:]
+        data = next(mutants(rng, rng.choice(originals), 1))
         edited.write_bytes(data)
         code = run_cli("audit", str(edited))
         capsys.readouterr()
-        assert code in (0, 1, 2), (kind, i, new)
+        assert code in (0, 1, 2), data
         if code == 2:
             refused += 1
             continue
         assert run_cli("run", "--from-trace", str(edited), "--trace", str(rewritten)) == code
         capsys.readouterr()
-        assert rewritten.read_bytes() == data, (kind, i, new)
+        assert rewritten.read_bytes() == data, data
     assert refused > 1400
 
 
@@ -585,6 +579,88 @@ def test_audit_refuses_a_header_or_line_ends_in_other_bytes(tmp_path, capsys):
         capsys.readouterr()
         assert run_cli("audit", str(path)) == 2
         assert f"trace file {path} line {lineno}: {problem}\n" in capsys.readouterr().err
+
+
+def test_audit_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, capsys):
+    path = chain_traces(tmp_path)[0]
+    data = path.read_bytes()
+    second = data.index(b"\n") + 1
+    for at, lineno in ((data.index(b"slow6"), 1), (second + data[second:].index(b"act"), 2)):
+        path.write_bytes(data[:at] + b"\xe9" + data[at + 1:])
+        assert run_cli("audit", str(path)) == 2
+        assert (f"error: trace file {path} line {lineno}: 'utf-8' codec can't decode byte 0xe9"
+                in capsys.readouterr().err)
+    at = data.index(b"slow6")
+    path.write_bytes(data[:at] + b"\xe9" + data[at + 1:])
+    assert run_cli("run", "--from-trace", str(path)) == 2
+    assert (f"error: trace file {path}: 'utf-8' codec can't decode byte 0xe9"
+            in capsys.readouterr().err)
+
+
+def test_audit_refuses_a_step_after_the_run_stops(tmp_path, capsys):
+    """A step line that the replay writes, with nobody moving, inserted
+    before the final line of a trace whose run has stopped."""
+    for path in chain_traces(tmp_path):
+        lines = path.read_text().splitlines(keepends=True)
+        t = len(lines) - 1
+        act = ",".join(map(str, sorted(make_scheduler("rand:0.5:3", 5).at(t))))
+        path.write_text("".join(lines[:-1]) + f'{{"act":[{act}],"dec":{{}},"rd":{{}},"t":{t},'
+                        f'"w":{{}}}}\n' + lines[-1])
+        assert run_cli("audit", str(path)) == 2
+        assert (f"trace file {path} line {t + 1}: step {t} is past the run's end at step "
+                f"{t - 1}, where every node the schedule may still activate has returned\n"
+                in capsys.readouterr().err)
+
+
+def test_thousands_of_nested_crash_prefixes_are_usage_errors(tmp_path, capsys):
+    deep = "crash:0@1;" * 5000 + "sync"
+    problem = "a descriptor nests at most 100 crash: prefixes\n"
+    assert run_cli("run", "--protocol", "slow6", "--n", "5", "--sched", deep) == 2
+    assert capsys.readouterr().err == f"error: {problem}"
+    path = chain_traces(tmp_path)[0]
+    path.write_text(path.read_text().replace('"sched":"rand:0.5:3"', f'"sched":"{deep}"'))
+    assert run_cli("audit", str(path)) == 2
+    assert capsys.readouterr().err == f"error: trace file {path} line 1: {problem}"
+    assert run_cli("run", "--from-trace", str(path)) == 2
+    assert capsys.readouterr().err == f"error: {problem}"
+
+
+def mutants(rng, data, count):
+    """count seeded edits of data: 1 to 3 printable bytes replaced, inserted
+    or deleted at one place."""
+    alphabet = string.printable.encode()
+    for _ in range(count):
+        i, k = rng.randrange(len(data)), rng.randint(1, 3)
+        new = bytes(rng.choice(alphabet) for _ in range(k))
+        kind = rng.choice(("replace", "insert", "delete"))
+        cut = i if kind == "insert" else i + k
+        yield data[:i] + (b"" if kind == "delete" else new) + data[cut:]
+
+
+def test_edited_schedule_edge_and_id_files_exit_0_1_or_2(tmp_path, capsys):
+    """300 seeded edits of each of a schedule file, an edge list and an id
+    file, each read by run: every exit is 0, 1 or 2, and none raises."""
+    edited = tmp_path / "edited"
+    cases = [
+        (b"# sets\n0 1\n\n2 4\n0 1 2 3 4\n1 3\n",
+         ["--protocol", "slow6", "--n", "5", "--ids", "chain", "--sched", f"replay:{edited}"]),
+        (b"# a 6-node graph\n0 1\n1 2\n2 3\n3 0\n0 4\n4 5\n5 2\n",
+         ["--protocol", "deltasq", "--graph", str(edited), "--ids", "random"]),
+        (b"0 3\n1 9\n2 4  # node id\n3 12\n4 7\n",
+         ["--protocol", "fast5", "--n", "5", "--ids", f"file:{edited}", "--sched", "rand:0.5:1"]),
+    ]
+    rng = random.Random(0)
+    codes = []
+    for data, argv in cases:
+        edited.write_bytes(data)
+        assert run_cli("run", *argv) == 0
+        for mutant in mutants(rng, data, 300):
+            edited.write_bytes(mutant)
+            code = run_cli("run", *argv)
+            capsys.readouterr()
+            assert code in (0, 1, 2), (argv, mutant)
+            codes.append(code)
+    assert codes.count(0) > 100 and codes.count(2) > 100
 
 
 def test_mc_negative_bound_is_usage_error(capsys):

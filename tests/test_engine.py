@@ -12,6 +12,8 @@ from hypothesis import given, settings, strategies as st
 import wfcolor
 from wfcolor.engine import (
     KERNEL_MIN_NODES,
+    _RegisterTexts,
+    StepEncoder,
     StepRecord,
     TraceFileWriter,
     TraceHeader,
@@ -622,6 +624,79 @@ def test_streaming_writer_equals_batch_writer(tmp_path):
     assert streamed.read_bytes() == batch.read_bytes()
 
 
+def test_a_writers_memo_stays_within_its_bound(tmp_path):
+    """Over a run of 10^3 steps the writer's register memo holds at most
+    4n + 64 texts; held to 50, it empties itself and writes the same bytes.
+    finish drops it."""
+    n = 200
+    g = cycle(n)
+    ids = random_unique_ids(g, seed=2)
+    scheduler = make_scheduler("rr", n)
+    header = TraceHeader(g, ids, "slow5", scheduler.text, 0, default_horizon("slow5", n))
+    trace = run(new_execution(g, ids, "slow5"), scheduler, header.horizon)
+    assert len(trace.steps) >= 1000
+    expected = tmp_path / "expected.jsonl"
+    write_trace(trace, str(expected))
+    for limit in (4 * n + 64, 50):
+        path, sizes = tmp_path / f"memo-{limit}.jsonl", []
+        with open(path, "w", encoding="utf-8") as fh:
+            writer = TraceFileWriter(fh, header)
+            assert writer._encode.texts.limit == 4 * n + 64
+            texts = writer._encode.texts = CountedTexts(limit)
+            run(new_execution(g, ids, "slow5"), scheduler, header.horizon,
+                observers=[writer, lambda record: sizes.append(len(texts))], keep_steps=False)
+            writer.finish(trace)
+        assert writer._encode is None
+        assert len(sizes) == len(trace.steps) and max(sizes) <= limit
+        assert texts.clears > 0 if limit == 50 else texts.clears == 0
+        assert path.read_bytes() == expected.read_bytes()
+
+
+@pytest.mark.parametrize("text, horizon", [
+    ("crash:0@2;rand:0.5:3", None),
+    ("crash:1@1;crash:3@4;rr", None),
+    ("crash:0@0,1@0,2@0,3@0,4@0;sync", None),  # no node ever moves
+    ("replay:@0,1||2,4|0,1,2,3,4|1,3", None),  # the sets run out before every node returns
+    ("rand:0.5:3", 4),  # tstar null
+    ("rr", 10),  # tstar null, and the last step a return
+])
+def test_crash_replay_and_unfinished_traces_read_back(tmp_path, text, horizon):
+    trace = run(new_execution(cycle(5), monotone_chain_ids(5), "slow6"), make_scheduler(text, 5),
+                horizon or default_horizon("slow6", 5))
+    assert (trace.tstar is None) == (horizon is not None)
+    path = tmp_path / "trace.jsonl"
+    write_trace(trace, str(path))
+    assert read_trace(str(path)) == trace
+
+
+def test_read_trace_refuses_steps_past_where_the_run_stops(tmp_path):
+    """A step line the replay writes, after the step where run stops; and a
+    tstar that disagrees with where the steps stop."""
+    scheduler = make_scheduler("rand:0.5:3", 5)
+    trace = run(new_execution(cycle(5), monotone_chain_ids(5), "slow6"), scheduler, 100)
+    path = tmp_path / "trace.jsonl"
+    t = len(trace.steps) + 1
+    act = ",".join(map(str, sorted(scheduler.at(t))))
+    extra = f'{{"act":[{act}],"dec":{{}},"rd":{{}},"t":{t},"w":{{}}}}\n'
+    header = header_line(trace.header)
+    for edit, lineno, problem in (
+        (lambda lines: lines[:-1] + [extra] + lines[-1:], t + 1,
+         f"step {t} is past the run's end at step {t - 1}, where every node the schedule "
+         "may still activate has returned"),
+        (lambda lines: lines[:1] + ['{"out":{},"tstar":0}\n'], 2,
+         "tstar is 0, but the run goes on after step 0: a node the schedule may still "
+         "activate is working"),
+        (lambda lines: [header.replace('"horizon":100', f'"horizon":{t - 1}') + "\n"]
+         + lines[1:-1] + [lines[-1].replace(f'"tstar":{t - 1}', '"tstar":null')], t + 1,
+         f"tstar is null, but the run stops after step {t - 1}"),
+    ):
+        write_trace(trace, str(path))
+        path.write_text("".join(edit(path.read_text().splitlines(keepends=True))))
+        with pytest.raises(ValueError) as excinfo:
+            read_trace(str(path))
+        assert str(excinfo.value) == f"trace file {path} line {lineno}: {problem}"
+
+
 def _json_step_line(record):
     """The step line as json.dumps wrote it before step_line built text."""
     def register(rec):
@@ -678,8 +753,9 @@ def test_step_line_writes_what_json_dumps_wrote(protocol, n, kind, seed, degree3
     ids = proper_coloring_ids(g, 4, seed=seed) if proper else random_unique_ids(g, seed=seed)
     trace = run(new_execution(g, ids, protocol), make_scheduler(_schedule(kind, n, seed), n),
                 default_horizon(protocol, n))
-    for record in trace.steps:
-        assert step_line(record) == _json_step_line(record)
+    dumped = [_json_step_line(record) for record in trace.steps]
+    assert [step_line(record) for record in trace.steps] == dumped
+    assert encode_trace(trace.steps, n)[:2] == (dumped, dumped)
     with tempfile.TemporaryDirectory() as directory:
         path = os.path.join(directory, "trace.jsonl")
         write_trace(trace, path)
@@ -688,12 +764,37 @@ def test_step_line_writes_what_json_dumps_wrote(protocol, n, kind, seed, degree3
     assert_one_object_per_state(loaded)
 
 
+class CountedTexts(_RegisterTexts):
+    """A register memo that counts the times it empties itself."""
+
+    clears = 0
+
+    def clear(self):
+        self.clears += 1
+        super().clear()
+
+
+def encode_trace(records, n):
+    """The lines that one StepEncoder writes for records, the lines of one
+    whose memo holds at most 5 texts, and the times that memo emptied."""
+    encode, small = StepEncoder(n), StepEncoder(n)
+    small.texts = CountedTexts(5)
+    lines, small_lines = [], []
+    for record in records:
+        lines.append(encode(record))
+        small_lines.append(small(record))
+        assert len(small.texts) <= 5
+    return lines, small_lines, small.texts.clears
+
+
 def test_step_line_sorts_two_digit_keys_and_writes_frozen_counters():
     # the cases that the differential test above should meet, met for sure
     g = cycle(12)
     trace = run(new_execution(g, monotone_chain_ids(12), "fast5"), make_scheduler("sync", 12), 400)
     lines = [step_line(record) for record in trace.steps]
     assert lines == [_json_step_line(record) for record in trace.steps]
+    encoded, small, clears = encode_trace(trace.steps, 12)
+    assert encoded == small == lines and clears > 0
     assert lines[0].startswith('{"act":[0,1,2,3,4,5,6,7,8,9,10,11],"dec":{"0":')
     assert lines[0].index('"10":') < lines[0].index('"2":')
     assert any('"inf"' in line for line in lines)
@@ -704,16 +805,19 @@ def test_step_line_writes_kernel_records_as_json_dumps_did():
     n = KERNEL_MIN_NODES
     g = cycle(n)
     for protocol in ("slow6", "slow5", "fast5"):
-        lines = []
+        records, lines = [], []
 
         def observer(record):
             assert not isinstance(record, StepRecord)  # the kernel ran
-            lines.append((step_line(record), _json_step_line(record)))
+            records.append(record)
+            lines.append(_json_step_line(record))
 
         ex = new_execution(g, random_unique_ids(g, seed=4), protocol)
         run(ex, make_scheduler("rand:0.5:4", n), default_horizon(protocol, n),
             observers=[observer], keep_steps=False)
-        assert lines and all(text == dumped for text, dumped in lines)
+        assert lines and [step_line(record) for record in records] == lines
+        encoded, small, clears = encode_trace(records, n)
+        assert encoded == small == lines and clears > 0
 
 
 @pytest.mark.parametrize("protocol", ["slow6", "fast5"])

@@ -12,6 +12,8 @@ from wfcolor.model import (
     random_unique_ids,
 )
 from wfcolor.schedulers import (
+    CRASH_DEPTH_LIMIT,
+    CrashSched,
     ReplaySched,
     Scheduler,
     StateSpaceExceeded,
@@ -186,6 +188,33 @@ def test_descriptor_round_trips():
         "replay:@0,1|2||0",
     ):
         assert format_descriptor(parse_descriptor(text)) == text
+
+
+def test_crash_prefixes_nest_up_to_the_depth_limit():
+    """CRASH_DEPTH_LIMIT prefixes parse, keep their text and run on the
+    engine and the kernel; one more, or 5,000, is a ValueError, not a
+    RecursionError."""
+    deepest = "".join(f"crash:{i % 5}@{i + 10};" for i in range(CRASH_DEPTH_LIMIT)) + "rr"
+    d = parse_descriptor(deepest)
+    depth = 0
+    while isinstance(d, CrashSched):
+        d, depth = d.base, depth + 1
+    assert depth == CRASH_DEPTH_LIMIT
+    s = make_scheduler(deepest, 5)
+    assert s.text == deepest
+    assert s.at(1) == frozenset({1}) and s.at(14) == frozenset()
+    assert s.support_after(14) == frozenset()
+    assert run(new_execution(cycle(5), monotone_chain_ids(5), "slow6"), s, 50).tstar is not None
+    for text in (f"crash:0@1;{deepest}", "crash:0@1;" * 5000 + "sync"):
+        with pytest.raises(ValueError, match=f"nests at most {CRASH_DEPTH_LIMIT} crash: prefixes"):
+            parse_descriptor(text)
+    pytest.importorskip("numpy")
+    n = KERNEL_MIN_NODES
+    kinds = set()
+    trace = run(new_execution(cycle(n), random_unique_ids(cycle(n), seed=1), "fast5"),
+                make_scheduler("crash:0@3;" * CRASH_DEPTH_LIMIT + "sync", n), 400,
+                observers=[lambda record: kinds.add(type(record).__name__)], keep_steps=False)
+    assert kinds == {"_Record"} and trace.tstar is not None  # the kernel ran it
 
 
 def test_replay_inline_sets():
