@@ -81,7 +81,7 @@ class ExperimentConfig:
 
 
 def load_config(path: str) -> ExperimentConfig:
-    with open(path, encoding="utf-8") as fh:
+    with model.open_text(path, "config file") as fh:
         return ExperimentConfig.from_text(fh.read())
 
 

@@ -8,7 +8,7 @@ a process that has already returned is a silent no-op; its register stays
 frozen at the last written value and remains readable.
 
 `step` is the one definition of that semantics: `Execution.apply_step`,
-run's no-record loop and the exhaustive model checker call it. `kernel.py`
+run's reference loop and the exhaustive model checker call it. `kernel.py`
 restates it on numpy arrays for large cycles, where `run` hands it the run;
 tests/test_kernel.py checks that restatement against `step`.
 
@@ -133,13 +133,9 @@ class Execution:
             if type(decision) is Return:
                 returned[p] = decision.color
 
-    def apply_step(self, activated: Iterable[int], record: bool = True) -> StepRecord | None:
-        """Run one simultaneous step for the given activation set.
-
-        With record=False the step is applied without building a StepRecord,
-        which keeps long unobserved runs cheap; the effect on the execution
-        is identical either way.
-        """
+    def apply_step(self, activated: Iterable[int]) -> StepRecord:
+        """Run one simultaneous step for the given activation set, and return
+        its record. A node outside the graph is refused before anything moves."""
         acts = frozenset(activated)  # no copy when the scheduler hands over a frozenset
         movers = sorted(acts.difference(self.returned))
         # an unknown node never returns, so the least and greatest mover bound it
@@ -149,11 +145,14 @@ class Execution:
             self.registers, self.states, movers, self.graph.adjacency, self._activate
         )
         self._moved(movers, decisions)
-        if not record:
-            return None
-        writes = {p: self.registers[p] for p in movers}
-        return StepRecord(self._t, tuple(sorted(acts)), writes,
-                          dict(zip(movers, views)), dict(zip(movers, decisions)))
+        return _step_record(self._t, acts, self.registers, movers, views, decisions)
+
+
+def _step_record(t: int, acts: frozenset[int], registers: list[View], movers: list[int],
+                 views: Sequence[tuple[View, ...]], decisions: Sequence[Decision]) -> StepRecord:
+    """The record of step t, once step has run its movers."""
+    return StepRecord(t, tuple(sorted(acts)), {p: registers[p] for p in movers},
+                      dict(zip(movers, views)), dict(zip(movers, decisions)))
 
 
 def check_instance(graph: Graph, ids: IdAssignment, protocol: str) -> None:
@@ -319,34 +318,33 @@ def _run_steps(
 ) -> int | None:
     """run's reference loop; returns tstar, or None when the horizon ran out.
 
-    With no records to keep and no observers, each step calls step directly
-    on the execution's registers and states, bound once, with the movers
-    sorted(at(t) - returned): apply_step's copy of the activation set, its
-    range check and its record flag are per-call work that such a run does
-    not need, since run checks the scheduler's node count and schedulers
-    check their nodes. A step with no working mover calls no step at all:
-    it writes, reads and decides nothing, so it is only counted. Both loops
-    count every step, empty or not, with Execution._moved.
+    Each step calls step on the execution's registers and states, bound
+    once, with the movers sorted(at(t) - returned), and counts the step with
+    Execution._moved; a step with no working mover writes, reads and decides
+    nothing, so it is only counted. A StepRecord is built only when records
+    are kept or observers watch. Unlike apply_step, the loop neither copies
+    at(t) nor checks its range: run checks the scheduler's node count, and
+    schedulers check their nodes.
     """
     returned, n = execution.returned, execution.graph.node_count
     at, support_after = scheduler.at, scheduler.support_after
-    if steps is None and not observers:
-        registers, states, moved = execution.registers, execution.states, execution._moved
-        adjacency, activate = execution.graph.adjacency, execution._activate
-        for t in range(1, horizon + 1):
-            movers = sorted(at(t).difference(returned))
-            moved(movers, step(registers, states, movers, adjacency, activate)[1] if movers else ())
-            support = support_after(t + 1)  # None: every node
-            if len(returned) == n if support is None else returned.keys() >= support:
-                return execution.last_move
-        return None
+    registers, states, moved = execution.registers, execution.states, execution._moved
+    adjacency, activate = execution.graph.adjacency, execution._activate
+    recording = steps is not None or bool(observers)
+    views = decisions = ()  # an empty step keeps the last ones, which no mover reads
     for t in range(1, horizon + 1):
-        record = execution.apply_step(at(t))
-        if steps is not None:
-            steps.append(record)
-        for observer in observers:
-            observer(record)
-        support = support_after(t + 1)
+        acts = at(t)
+        movers = sorted(acts.difference(returned))
+        if movers:
+            views, decisions = step(registers, states, movers, adjacency, activate)
+        moved(movers, decisions)
+        if recording:
+            record = _step_record(t, acts, registers, movers, views, decisions)
+            if steps is not None:
+                steps.append(record)
+            for observer in observers:
+                observer(record)
+        support = support_after(t + 1)  # None: every node
         if len(returned) == n if support is None else returned.keys() >= support:
             return execution.last_move
     return None

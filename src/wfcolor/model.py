@@ -8,6 +8,7 @@ coloring (duplicates allowed on non-adjacent nodes).
 
 from __future__ import annotations
 
+import io
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -130,8 +131,24 @@ def parse_edge_list(lines: Iterable[str]) -> Graph:
     return from_edges(top + 1, edges)
 
 
+def open_text(path: str, what: str) -> io.StringIO:
+    """A UTF-8 text file, read whole, its newlines translated as open()
+    translates them. A byte that is not UTF-8 raises a ValueError that names
+    the file (as what and path) and the 1-based line that holds it."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode()
+    except UnicodeDecodeError as exc:
+        lines = data[:exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n").split(b"\n")
+        raise ValueError(f"{what} {path} line {len(lines)}: 'utf-8' codec can't decode byte "
+                         f"0x{data[exc.start]:02x} in position {len(lines[-1])}: "
+                         f"{exc.reason}") from None
+    return io.StringIO(text, newline=None)
+
+
 def load_edge_list(path: str) -> Graph:
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path, "edge-list file") as fh:
         try:
             return parse_edge_list(fh)
         except TopologyError as exc:
@@ -288,7 +305,7 @@ def parse_id_list(lines: Iterable[str], g: Graph) -> IdAssignment:
 
 
 def load_ids(path: str, g: Graph) -> IdAssignment:
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path, "id file") as fh:
         try:
             return parse_id_list(fh, g)
         except ValueError as exc:

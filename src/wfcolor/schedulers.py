@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence, Union
 
 from .engine import KERNEL_MIN_NODES, new_execution, step
-from .model import Graph, IdAssignment
+from .model import Graph, IdAssignment, open_text
 from .protocols import ACTIVATE, Continue, Return, palette_ok
 
 
@@ -149,7 +149,7 @@ def _replay_node(item: str, text: str) -> int:
 
 def load_schedule(path: str) -> tuple[frozenset[int], ...]:
     sets = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path, "schedule file") as fh:
         for lineno, raw in enumerate(fh, 1):
             if raw.lstrip().startswith("#"):
                 continue
@@ -341,7 +341,7 @@ def _max_working_activations(
     that agrees with sets on that many first sets gives the same two."""
     ex = new_execution(graph, ids, protocol)
     for count, s in enumerate(sets, 1):
-        ex.apply_step(s, record=False)
+        ex.apply_step(s)
         if ex.all_returned():
             return max(ex.activations), count
     return max(ex.activations), len(sets)

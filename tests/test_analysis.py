@@ -21,6 +21,7 @@ from wfcolor.analysis import (
     activation_bound_audit,
     check_palette,
     check_proper_coloring,
+    declared_bound,
     heard_of_audits,
     monotone_distances,
     parity_audit,
@@ -519,6 +520,21 @@ def test_activation_bound_audit_slow5():
         trace = run(ex, make_scheduler(sched, 9), 380)
         assert trace.terminated
         assert activation_bound_audit(trace).passed
+
+
+@pytest.mark.parametrize("protocol", ["slow6", "slow5"])
+def test_activation_bound_audit_flags_a_count_over_its_bound(protocol):
+    g = cycle(9)
+    trace = run(new_execution(g, random_unique_ids(g, seed=3), protocol),
+                make_scheduler("rand:0.5:8", 9), 400)
+    assert activation_bound_audit(trace).passed
+    count = trace.activations[4] = declared_bound(protocol, 9) + 1  # over every node's bound
+    report = activation_bound_audit(trace)
+    assert not report.passed
+    [(t, node, detail)] = report.violations
+    assert (t, node) == (None, 4)
+    assert detail.startswith(f"{count} working activations exceed bound ")
+    assert int(detail.rsplit(" ", 1)[1]) < count
 
 
 def test_activation_bound_audit_rejects_fast5():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 import wfcolor
-from wfcolor import analysis, cli
+from wfcolor import analysis, cli, protocols, schedulers
 from wfcolor.cli import ExperimentConfig, main
 from wfcolor.engine import new_execution, run, write_trace
 from wfcolor.model import cycle, explicit_ids
@@ -132,6 +132,28 @@ def test_sweep_triangle(capsys):
     assert len(lines) == 5
     assert out.splitlines()[0] == "trial\tseed\tterminated\ttstar\tmax_act\tviolations"
     assert "# aggregate" in out
+
+
+def test_sweep_flags_each_trial_over_the_bound(capsys):
+    code = run_cli("sweep", "--protocol", "slow6", "--n", "4", "--trials", "2", "--bound", "0")
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    for line in lines[1:3]:
+        max_act, violations = line.split("\t")[4:]
+        assert violations == f"bound({max_act}>0)"
+    assert lines[3].endswith(" failures=2 bound=0")
+
+
+def test_sweep_reseeds_the_base_of_a_crash_schedule(capsys):
+    text = "crash:0@3;rand:0.5:2"
+    descriptor = schedulers.parse_descriptor(text)
+    assert cli._reseed(descriptor, 1) == schedulers.CrashSched(
+        schedulers.RandomSched(0.5, cli._derive(2, 1)), ((0, 3),)
+    )
+    assert run_cli("sweep", "--protocol", "slow6", "--n", "6", "--trials", "3", "--sched",
+                   text) == 0
+    trials = capsys.readouterr().out.splitlines()[1:4]
+    assert [line.split("\t")[0] for line in trials] == ["0", "1", "2"]
 
 
 def test_sweep_rejects_zero_trials(capsys):
@@ -663,6 +685,54 @@ def test_edited_schedule_edge_and_id_files_exit_0_1_or_2(tmp_path, capsys):
     assert codes.count(0) > 100 and codes.count(2) > 100
 
 
+def test_edited_config_files_exit_0_1_or_2(tmp_path, capsys, monkeypatch):
+    """300 seeded edits of a config file, each read by run, sweep and
+    mc --bound: every exit is 0, 1 or 2, and none raises. An edit whose n or
+    trials is over 4 is skipped, to keep the test fast."""
+    monkeypatch.chdir(tmp_path)  # a relative file name that an edit makes resolves here
+    data = b"# a small experiment\nprotocol=slow6\nn=4\nids=chain\nseed=3\nsched=rand:0.5:1\n" \
+        b"trials=2\nbound=9\n"
+    path = tmp_path / "exp.cfg"
+    commands = (["run"], ["sweep"], ["mc", "--bound", "9"])
+    rng = random.Random(0)
+    codes = []
+    for mutant in mutants(rng, data, 300):
+        try:
+            cfg = ExperimentConfig.from_text(mutant.decode())
+            if (cfg.n or 0) > 4 or (cfg.trials or 0) > 4:
+                continue
+        except ValueError:
+            pass  # every command exits 2 on it
+        path.write_bytes(mutant)
+        for command in commands:
+            code = run_cli(*command, "--config", str(path))
+            capsys.readouterr()
+            assert code in (0, 1, 2), (command, mutant)
+            codes.append(code)
+    assert codes.count(0) > 100 and codes.count(2) > 100
+
+
+@pytest.mark.parametrize("data, argv, what, lineno, position", [
+    (b"protocol=slow6\r\nn=4\r\nids=ch\xe9in\n", ["--config", "{path}"], "config file", 3, 6),
+    (b"0 1\n1 2\n2 \xe90\n", ["--protocol", "deltasq", "--graph", "{path}"],
+     "edge-list file", 3, 2),
+    (b"0 1\r\r2 \xe9\n", ["--protocol", "slow6", "--n", "4", "--sched", "replay:{path}"],
+     "schedule file", 3, 2),
+    (b"\xe90 3\n1 9\n", ["--protocol", "slow6", "--n", "3", "--ids", "file:{path}"],
+     "id file", 1, 0),
+], ids=["config", "graph", "schedule", "ids"])
+def test_a_byte_that_is_not_utf8_names_the_file_and_line(
+    tmp_path, capsys, data, argv, what, lineno, position
+):
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    assert run_cli("run", *(arg.format(path=path) for arg in argv)) == 2
+    assert capsys.readouterr().err == (
+        f"error: {what} {path} line {lineno}: 'utf-8' codec can't decode byte 0xe9 "
+        f"in position {position}: invalid continuation byte\n"
+    )
+
+
 def test_mc_negative_bound_is_usage_error(capsys):
     code = run_cli("mc", "--protocol", "slow6", "--n", "3", "--ids", "1,2,5", "--bound", "-1")
     captured = capsys.readouterr()
@@ -730,6 +800,24 @@ def test_mc_writes_counterexample_schedule_that_replays(tmp_path, capsys):
     for step in load_schedule(str(path)):
         ex.apply_step(step)
     assert max(ex.activations) > 1
+
+
+def test_mc_prints_a_safety_violation_and_writes_a_witness_that_replays(
+    tmp_path, capsys, monkeypatch
+):
+    """A transition that always returns color 0 makes the first step that
+    moves two neighbors a safety violation."""
+    monkeypatch.setitem(protocols.ACTIVATE, "slow5", lambda state, views: protocols.Return(0))
+    path = tmp_path / "witness.sched"
+    argv = ["--protocol", "slow5", "--n", "3", "--ids", "1,2,5"]
+    assert run_cli("mc", *argv, "--bound", "8", "--trace", str(path)) == 1
+    out = capsys.readouterr().out
+    assert "verdict: fail\nsafety violation: adjacent nodes 1,0 both returned 0\n" \
+        "  schedule: [(0, 1, 2)]\n" in out
+    assert f"counterexample schedule written to {path}\n" in out
+    assert path.read_text() == "0 1 2\n"
+    assert run_cli("run", *argv, "--sched", f"replay:{path}") == 1
+    assert "audit proper_coloring: FAIL (3 violations)" in capsys.readouterr().out
 
 
 def test_mc_pass_writes_no_schedule(tmp_path, capsys):

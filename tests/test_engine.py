@@ -114,8 +114,8 @@ def test_run_refuses_an_execution_that_has_stepped(n):
     # trace whose steps, activations and tstar disagree with the execution
     g = cycle(n)
     ex = new_execution(g, random_unique_ids(g, seed=1), "fast5")
-    ex.apply_step({0, 1}, record=False)
-    ex.apply_step({2}, record=False)
+    ex.apply_step({0, 1})
+    ex.apply_step({2})
     for keep_steps in (True, False):  # the reference loop, and the kernel from KERNEL_MIN_NODES on
         with pytest.raises(ValueError, match="fresh execution; this one is at step 2$"):
             run(ex, make_scheduler("sync", n), 400, keep_steps=keep_steps)
@@ -983,8 +983,8 @@ def small_runs(draw):
 
 
 def runs_without_and_with_records(protocol, n, seed, text, horizon):
-    """The execution and trace of a run by the no-record loop, then of the
-    same run by the recording loop."""
+    """The execution and trace of a run that keeps no records, then of the
+    same run keeping them."""
     g = cycle(n)
     ids = random_unique_ids(g, seed=seed)
     results = []
@@ -1050,7 +1050,7 @@ def test_an_empty_step_is_counted_without_a_step_call(monkeypatch, protocol, n, 
     assert_same_outcome(fast, reference)
     movers = [len(record.decisions) for record in reference[1].steps]
     assert 0 in movers  # the case has empty steps to skip
-    # the no-record loop, which runs first, calls step on the non-empty steps only
-    assert calls == [k for k in movers if k] + movers
+    # each run, with records or without, calls step on the non-empty steps only
+    assert calls == [k for k in movers if k] * 2
     if horizon < default_horizon(protocol, n):
         assert (fast[1].tstar, fast[0]._t) == (None, horizon)

@@ -47,6 +47,19 @@ def test_crash_removes_node_from_time_onward():
     assert s.at(5) == frozenset({1, 2})
 
 
+@pytest.mark.parametrize("text, problem", [
+    ("crash:0@2", "expected crash:<node>@<t>,...;<base>, got 'crash:0@2'"),
+    ("crash:1@1;crash:0@2", "expected crash:<node>@<t>,...;<base>, got 'crash:0@2'"),
+    ("crash:3@2;sync", "crash node 3 out of range"),
+    ("crash:-1@2;sync", "crash node -1 out of range"),
+    ("crash:0@-1;rr", "crash time -1 is negative"),
+])
+def test_malformed_crash_schedules_are_named(text, problem):
+    with pytest.raises(ValueError) as info:
+        make_scheduler(text, 3)
+    assert str(info.value) == problem
+
+
 def test_crash_is_subset_of_base():
     base = make_scheduler("rand:0.6:3", 5)
     crashed = make_scheduler("crash:1@4,3@0;rand:0.6:3", 5)
@@ -490,7 +503,7 @@ def reference_worst_case_search(graph, ids, protocol, budget, seed):
     def value(sets):
         ex = new_execution(graph, ids, protocol)
         for s in sets:
-            ex.apply_step(s, record=False)
+            ex.apply_step(s)
             if ex.all_returned():
                 break
         return max(ex.activations)
