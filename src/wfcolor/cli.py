@@ -52,7 +52,8 @@ class ExperimentConfig:
     _INTS = ("n", "seed", "horizon", "trials", "bound", "budget")
 
     @classmethod
-    def from_text(cls, text: str) -> "ExperimentConfig":
+    def from_text(cls, text: str, source: str = "config") -> "ExperimentConfig":
+        """The config in text; an error names source and the line."""
         cfg = cls()
         known = {f.name for f in fields(cls)}
         for lineno, raw in enumerate(text.splitlines(), 1):
@@ -60,16 +61,16 @@ class ExperimentConfig:
             if not line:
                 continue
             if "=" not in line:
-                raise ConfigError(f"config line {lineno}: expected key=value, got {raw!r}")
+                raise ConfigError(f"{source} line {lineno}: expected key=value, got {raw!r}")
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in known:
-                raise ConfigError(f"config line {lineno}: unknown key {key!r}")
+                raise ConfigError(f"{source} line {lineno}: unknown key {key!r}")
             if key in cls._INTS:
                 try:
                     value = int(value)
                 except ValueError:
                     raise ConfigError(
-                        f"config line {lineno}: {key} must be an integer, got {value!r}"
+                        f"{source} line {lineno}: {key} must be an integer, got {value!r}"
                     ) from None
             setattr(cfg, key, value)
         return cfg
@@ -82,7 +83,7 @@ class ExperimentConfig:
 
 def load_config(path: str) -> ExperimentConfig:
     with model.open_text(path, "config file") as fh:
-        return ExperimentConfig.from_text(fh.read())
+        return ExperimentConfig.from_text(fh.read(), f"config file {path}")
 
 
 def _default_seed() -> int:

@@ -1,15 +1,22 @@
 """The cycle protocols on whole arrays: a numpy restatement of `engine.step`.
 
 `run` steps slow6, slow5 and fast5 on a 2-regular graph. The states and the
-registers are (4, n) int64 tables whose rows are x, a, b and r; an unwritten
-register holds x = -1, which no identifier equals, and fast5's frozen
-counter is `protocols.INFINITE`, the same int as in a ProtocolState. A step
-writes the movers' columns into the register table, gathers each mover's
-two neighbor registers through a (2, n) adjacency array and applies the
-protocol's transition to all movers at once. `cv_reduce` gets bit lengths
-from `np.frexp`, which is exact below 2**53, and the least color missing
-from a bitmask is a table lookup. Sync, rand and crash schedules reach a
-step as bool masks built without a node set (see `_activation_masks`).
+registers hold one 1-D array per field: x is int64, and an unwritten
+register holds x = -1, which no identifier equals; the colors a and b are
+uint8, as are the color bitmasks the transitions build (a color is at most
+4, so a mask stays below 64); fast5's counter r is int64, its frozen value
+`protocols.INFINITE`, the same int as in a ProtocolState, and slow6 and
+slow5, which never read r, have no r array. A step writes the movers'
+fields into the registers, gathers each mover's two neighbor registers
+through a (2, n) adjacency array and applies the protocol's transition to
+all movers at once. Each step lists its returners and their colors as they
+happen; the run concatenates the lists at the end, which is the reference
+order of returns: by step, then by node. `cv_reduce` gets bit lengths from
+`np.frexp`, which is exact below 2**53, and the least color missing from a
+bitmask is a table lookup. Sync, rand and crash schedules reach a step as
+bool masks built without a node set (see `_activation_masks`). On the
+10**5-cycle a fast5 run takes 1/22 to 1/28 of the reference loop's time
+(README, "Large cycles").
 
 Observers get one `_Record` per step, read by field name (it is not a tuple).
 It holds the step's arrays and builds each StepRecord field on first read, so
@@ -33,101 +40,121 @@ from .engine import Execution
 from .protocols import FAST5, INFINITE, SLOW5, SLOW6, _continue, _return, mex, new_states
 from .schedulers import CrashSched, RandomSched, Scheduler, Synchronous, random_stream
 
-X, A, B, R = range(4)  # the rows of a state or register table
-_MEX = np.array([mex(c for c in range(6) if m >> c & 1) for m in range(64)], dtype=np.int64)
-
-
-def _bit_length(z: np.ndarray) -> np.ndarray:
-    """int.bit_length of each natural below 2**53, where float64 is exact."""
-    return np.frexp(z.astype(np.float64))[1].astype(np.int64)
+_MEX = np.array([mex(c for c in range(6) if m >> c & 1) for m in range(64)], dtype=np.uint8)
 
 
 def cv_reduce(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """cointoss.cv_reduce, elementwise over naturals below 2**53."""
-    diff = x ^ y
-    # the position of the lowest differing bit: the ones below it, 64 when x == y
-    low = np.bitwise_count(((diff & -diff) - 1).view(np.uint64))
-    i = np.minimum(_bit_length(np.minimum(x, y)), low)
-    return 2 * i + (x >> i & 1)
+    """cointoss.cv_reduce, elementwise over naturals below 2**53. It works in
+    place where it can: at 10**5 entries, a fresh array costs about as much
+    in page faults as the arithmetic that fills it."""
+    low = x ^ y
+    low &= -low
+    low -= 1  # the ones below the lowest differing bit, all 64 when x == y
+    # int.bit_length of the smaller, as float64's exponent, exact below 2**53
+    i = np.frexp(np.minimum(x, y).astype(np.float64))[1]
+    np.minimum(i, np.bitwise_count(low.view(np.uint64)), out=i)
+    reduced = x >> i
+    reduced &= 1
+    reduced += 2 * i
+    return reduced
 
 
-# A transition takes the movers' states (4, k), the registers they read
-# (4, 2, k: field, neighbor, mover) and which of those are written (2, k).
-# It returns which movers return, their colors as rows (two for a pair, one
-# for a scalar) and the next states of the others.
+# A transition takes the movers' states, the registers they read and which of
+# those are written ((2, k): neighbor, mover). States and registers are tuples
+# of fields (x, a, b, r): a state's fields have shape (k,), a register's (2, k),
+# and r is None but for fast5. A transition returns which movers return, their
+# colors as a tuple of arrays (two for a pair, one for a scalar) and the next
+# states of all movers, in which a field that did not change is the state's own.
+
+def _pick(cond, yes, no):
+    """np.where(cond, yes, no) for integers, without np.where's branch per
+    entry, which costs twenty times as much on a mask with no pattern."""
+    return no ^ (yes ^ no) * cond
+
 
 def _two_sided(pre, view, written):
-    x, a, b, _ = pre
+    x, a, b, r = pre
     vx, va, vb, _ = view
     hit = written & (va == a) & (vb == b)
-    above = np.where(written & (vx > x), 1 << va, 0)
-    below = np.where(written & (vx < x), 1 << vb, 0)
-    new = pre.copy()
-    new[A] = _MEX.take(above[0] | above[1])
-    new[B] = _MEX.take(below[0] | below[1])
-    return ~(hit[0] | hit[1]), pre[A:B + 1], new
+    above = (1 << va) * (written & (vx > x))
+    below = (1 << vb) * (written & (vx < x))
+    new = (x, _MEX.take(above[0] | above[1]), _MEX.take(below[0] | below[1]), r)
+    return ~(hit[0] | hit[1]), (a, b), new
 
 
 def _five_color(pre, view, written):
-    x, a, b, _ = pre
-    bits = np.where(written, 1 << view[A] | 1 << view[B], 0)
-    above = np.where(view[X] > x, bits, 0)
+    x, a, b, r = pre
+    vx, va, vb, _ = view
+    bits = (1 << va | 1 << vb) * written
+    above = bits * (vx > x)
     seen = bits[0] | bits[1]
     fresh_a = (seen >> a & 1) == 0
     fresh_b = (seen >> b & 1) == 0
-    new = pre.copy()
-    new[A] = _MEX.take(above[0] | above[1])
-    new[B] = _MEX.take(seen)
-    return fresh_a | fresh_b, np.where(fresh_a, a, b)[None], new
+    new = (x, _MEX.take(above[0] | above[1]), _MEX.take(seen), r)
+    return fresh_a | fresh_b, (_pick(fresh_a, a, b),), new
 
 
 def _fast5(pre, view, written):
-    returns, colors, new = _five_color(pre, view, written)
-    x, r = pre[X], pre[R]
-    (x0, x1), (r0, r1) = view[X], view[R]
+    returns, colors, (x, a, b, r) = _five_color(pre, view, written)
+    (x0, x1), _, _, (r0, r1) = view
     # the identifier move, for the continuing movers whose counter may move
-    moving = np.flatnonzero(~returns & written[0] & written[1] & (r < INFINITE) & (r <= r0) & (r <= r1))
-    if not len(moving):
-        return returns, colors, new
-    x, x0, x1, r = (column.take(moving) for column in (x, x0, x1, r))
-    lo, hi = np.minimum(x0, x1), np.maximum(x0, x1)
-    between = (lo < x) & (x < hi)
-    y = cv_reduce(x, lo)
-    # mex of the two reductions against x is at most 2, so 5 stands in for any larger one
-    c0, c1 = (np.minimum(cv_reduce(v, x), 5) for v in (x0, x1))
-    drop = np.minimum(x, _MEX.take(1 << c0 | 1 << c1))
-    new[X, moving] = np.where(between, np.where(y < lo, y, x), np.where(x < lo, drop, x))
-    new[R, moving] = np.where(between, r + 1, INFINITE)
-    return returns, colors, new
+    move = ~returns & written[0] & written[1] & (r < INFINITE) & (r <= r0) & (r <= r1)
+    if not move.any():
+        return returns, colors, (x, a, b, r)
+    lo = np.minimum(x0, x1)
+    between = move & (lo < x) & (x < np.maximum(x0, x1))
+    local_min = move & (x < lo)
+    next_r = r + between  # a mover strictly between bumps its counter, any other freezes it
+    next_r[move & ~between] = INFINITE
+    next_x = x.copy()
+    # strictly between: the reduction against the smaller neighbor, if it lands below it
+    nodes = np.flatnonzero(between)
+    xb, lo = x.take(nodes), lo.take(nodes)
+    y = cv_reduce(xb, lo)
+    next_x[nodes] = _pick(y < lo, y, xb)
+    # a local minimum: the least value avoiding both neighbors' reductions
+    # against it, if smaller; that mex is at most 2, so 5 stands in for any
+    # larger reduction
+    nodes = np.flatnonzero(local_min)
+    xm = x.take(nodes)
+    c0, c1 = (np.minimum(cv_reduce(v.take(nodes), xm), 5) for v in (x0, x1))
+    next_x[nodes] = np.minimum(xm, _MEX.take(1 << c0 | 1 << c1))
+    return returns, colors, (next_x, a, b, next_r)
 
 
 _TRANSITIONS = {SLOW6: _two_sided, SLOW5: _five_color, FAST5: _fast5}
 
 
-def _put(table: np.ndarray, nodes: np.ndarray, columns: np.ndarray) -> None:
-    """table[:, nodes] = columns, a row at a time: three times as fast as
-    indexing both axes at once."""
-    for row, values in zip(table, columns):
-        row[nodes] = values
+def _fields(protocol: str, x: np.ndarray) -> tuple:
+    """The fields (x, a, b, r) of len(x) states or registers: colors and
+    counters 0, and no counter but for fast5."""
+    n = len(x)
+    r = np.zeros(n, dtype=np.int64) if protocol == FAST5 else None
+    return x, np.zeros(n, dtype=np.uint8), np.zeros(n, dtype=np.uint8), r
 
 
-# --- conversions between tables and the engine's objects ---------------------
+def _take(fields: tuple, index: np.ndarray) -> tuple:
+    """The fields' entries at index; a missing field stays None."""
+    return tuple(None if field is None else field.take(index) for field in fields)
 
-def _states(protocol: str, table: np.ndarray) -> list:
-    """The ProtocolStates of a table's columns; None where x = -1."""
-    x, a, b, r = table.tolist()
+
+# --- conversions between arrays and the engine's objects -----------------------
+
+def _states(protocol: str, fields: tuple) -> list:
+    """The ProtocolStates of fields (x, a, b, r); None where x = -1."""
+    x, a, b, r = fields
     # tolist makes an int object per entry; frozen counters share INFINITE's,
     # 32 bytes less per frozen state
-    r = [INFINITE if v == INFINITE else v for v in r] if protocol == FAST5 else repeat(None)
-    states = new_states(zip(x, a, b, r))
-    for i in np.flatnonzero(table[X] < 0).tolist():
+    r = repeat(None) if r is None else [INFINITE if v == INFINITE else v for v in r.tolist()]
+    states = new_states(zip(x.tolist(), a.tolist(), b.tolist(), r))
+    for i in np.flatnonzero(x < 0).tolist():
         states[i] = None
     return states
 
 
-def _colors(rows: np.ndarray) -> list:
-    """The colors in the columns of an output table: pairs, or scalars."""
-    return list(zip(*rows.tolist())) if len(rows) == 2 else rows[0].tolist()
+def _colors(colors: tuple) -> list:
+    """The colors of an output's arrays: pairs, or scalars."""
+    return list(zip(*(c.tolist() for c in colors))) if len(colors) == 2 else colors[0].tolist()
 
 
 class _Masks:
@@ -189,7 +216,7 @@ class _Record:
     StepRecord field, built from the step's arrays on first read."""
 
     def __init__(self, t, protocol, active, movers, pre, view, returns, colors, new):
-        self.t, self.movers, self.written, self.read = t, movers, pre[X], view[X].T
+        self.t, self.movers, self.written, self.read = t, movers, pre[0], view[0].T
         self._protocol, self._active, self._pre, self._view = protocol, active, pre, view
         self._returns, self._colors, self._new = returns, colors, new
 
@@ -203,7 +230,8 @@ class _Record:
 
     @cached_property
     def reads(self) -> dict:
-        left, right = (_states(self._protocol, side) for side in self._view.swapaxes(0, 1))
+        left, right = (_states(self._protocol, [None if f is None else f[side] for f in self._view])
+                       for side in (0, 1))
         return dict(zip(self.movers.tolist(), zip(left, right)))
 
     @cached_property
@@ -220,42 +248,62 @@ def run(execution: Execution, scheduler: Scheduler, horizon: int, observers=()) 
     """engine.run's loop without kept records: step a fresh execution under
     the scheduler for at most horizon steps, calling each observer with every
     step's record, and set in the execution only what the trace reports.
-    Returns tstar, or None when the horizon ran out. The tables start from
-    the ids alone, as the execution is fresh: every state initial, every
-    register unwritten and every node working. The run stops once no node
-    of the scheduler's support_after(t + 1) is working; a None support
-    stands for every node, so the run then asks working.any(), and only a
-    support that is a set is converted to a mask."""
+    Returns tstar, or None when the horizon ran out. The step arrays are
+    gone before the per-node results are built, which are the run's peak."""
+    t, last_move, terminated, activations, returners, outputs = _steps(
+        execution, scheduler, horizon, observers
+    )
+    execution._t = t
+    execution.last_move = last_move
+    execution.activations[:] = activations.tolist()
+    if returners:
+        colors = tuple(np.concatenate(column) for column in zip(*outputs))
+        execution.returned.update(zip(np.concatenate(returners).tolist(), _colors(colors)))
+    return last_move if terminated else None
+
+
+def _steps(execution: Execution, scheduler: Scheduler, horizon: int, observers):
+    """The steps of run: the last step, the last one with a mover, whether
+    the run terminated, the activation counts, and each step's returners
+    and their colors, for the steps with any. The arrays start from the ids
+    alone, as the execution is fresh: every state initial, every register
+    unwritten and every node working. The run stops once no node of the
+    scheduler's support_after(t + 1) is working; a None support stands for
+    every node, so the run then asks working.any(), and only a support that
+    is a set is converted to a mask."""
     protocol = execution.protocol
     transition = _TRANSITIONS[protocol]
     n = execution.graph.node_count
     adjacency = np.fromiter(chain.from_iterable(execution.graph.adjacency), np.int64, 2 * n)
     adjacency = adjacency.reshape(n, 2).T.copy()
-    states = np.zeros((4, n), dtype=np.int64)
-    states[X] = execution.ids.ids
-    registers = np.zeros_like(states)
-    registers[X] = -1
+    states = _fields(protocol, np.fromiter(execution.ids.ids, np.int64, n))
+    registers = _fields(protocol, np.full(n, -1, dtype=np.int64))
     working = np.ones(n, dtype=bool)
     activations = np.zeros(n, dtype=np.int64)
-    outputs = np.zeros((2 if protocol == SLOW6 else 1, n), dtype=np.int64)
-    returned_at = np.zeros(n, dtype=np.int64)  # step of return, to list returns in order
+    returners, outputs = [], []  # per step with returns, in node order
     activation_mask = _activation_masks(scheduler, n)
     support_mask = _Masks(n)
     last_move, terminated = 0, False
     for t in range(1, horizon + 1):
         active = activation_mask(t)
-        movers = np.flatnonzero(active & working)
-        pre = states.take(movers, axis=1)
-        _put(registers, movers, pre)
-        view = registers.take(adjacency.take(movers, axis=1), axis=1)
-        returns, colors, new = transition(pre, view, view[X] >= 0)
-        stay = ~returns
-        _put(states, movers.compress(stay), new.compress(stay, axis=1))
+        moves = active & working
+        movers = np.flatnonzero(moves)
+        pre = _take(states, movers)
+        for register, values in zip(registers, pre):
+            if register is not None:
+                register[movers] = values
+        view = _take(registers, adjacency.take(movers, axis=1))
+        returns, colors, new = transition(pre, view, view[0] >= 0)
+        # a returner never moves again, so its state may take any value
+        for state, before, after in zip(states, pre, new):
+            if after is not before:  # a field the transition changed
+                state[movers] = after
         gone = movers.compress(returns)
-        working[gone] = False
-        _put(outputs, gone, colors.compress(returns, axis=1))
-        returned_at[gone] = t
-        activations[movers] += 1
+        if len(gone):
+            working[gone] = False
+            returners.append(gone)
+            outputs.append([color.compress(returns) for color in colors])
+        activations += moves
         if len(movers):
             last_move = t
         if observers:
@@ -266,11 +314,4 @@ def run(execution: Execution, scheduler: Scheduler, horizon: int, observers=()) 
         if not (working if support is None else working & support_mask(support)).any():
             terminated = True
             break
-
-    execution._t = t
-    execution.last_move = last_move
-    execution.activations[:] = activations.tolist()
-    gone = np.flatnonzero(returned_at)
-    gone = gone[np.argsort(returned_at[gone], kind="stable")]
-    execution.returned.update(zip(gone.tolist(), _colors(outputs[:, gone])))
-    return last_move if terminated else None
+    return t, last_move, terminated, activations, returners, outputs

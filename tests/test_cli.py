@@ -311,7 +311,16 @@ def test_config_value_that_is_not_an_integer_is_named(tmp_path, capsys):
     path = tmp_path / "exp.cfg"
     path.write_text("protocol=slow6\nn=abc\n")
     assert run_cli("run", "--config", str(path)) == 2
-    assert "config line 2: n must be an integer, got 'abc'" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"error: config file {path} line 2: n must be an integer, got 'abc'\n"
+    )
+
+
+def test_config_unknown_key_names_the_file_and_line(tmp_path, capsys):
+    path = tmp_path / "c2.cfg"
+    path.write_text("protocol=slow6\nn=4\ncolour=red\n")
+    assert run_cli("run", "--config", str(path)) == 2
+    assert capsys.readouterr().err == f"error: config file {path} line 3: unknown key 'colour'\n"
 
 
 def test_wfc_seed_that_is_not_an_integer_is_named(capsys, monkeypatch):

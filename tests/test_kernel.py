@@ -7,6 +7,7 @@ step records and the same trace bytes.
 
 import io
 import random
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,7 +24,7 @@ from wfcolor.model import (  # noqa: E402
     proper_coloring_ids,
     random_unique_ids,
 )
-from wfcolor.protocols import CYCLE_ONLY  # noqa: E402
+from wfcolor.protocols import ACTIVATE, CYCLE_ONLY, FAST5, INFINITE, ProtocolState  # noqa: E402
 from wfcolor.schedulers import make_scheduler  # noqa: E402
 
 
@@ -130,10 +131,12 @@ def test_a_kernel_run_records_only_what_the_trace_reports(text):
     assert list(ker.returned) == list(ref.returned)
 
 
-def test_run_routes_a_large_cycle_to_the_kernel_with_identical_trace_bytes(monkeypatch):
+@pytest.mark.parametrize("protocol", CYCLE_ONLY)
+def test_run_routes_a_large_cycle_to_the_kernel_with_identical_trace_bytes(monkeypatch, protocol):
     n = engine.KERNEL_MIN_NODES
     graph = cycle(n)
     ids = random_unique_ids(graph, seed=5)
+    horizon = engine.default_horizon(protocol, n)
     calls = []
     real_run = kernel.run
     monkeypatch.setattr(kernel, "run", lambda *args: calls.append(1) or real_run(*args))
@@ -141,10 +144,10 @@ def test_run_routes_a_large_cycle_to_the_kernel_with_identical_trace_bytes(monke
         written = []
         for keep_steps in (True, False):
             buffer = io.StringIO()
-            execution = new_execution(graph, ids, "fast5")
+            execution = new_execution(graph, ids, protocol)
             scheduler = make_scheduler(text, n)
-            writer = TraceFileWriter(buffer, TraceHeader(graph, ids, "fast5", text, 4, 400))
-            trace = engine.run(execution, scheduler, 400, [writer], keep_steps=keep_steps, seed=4)
+            writer = TraceFileWriter(buffer, TraceHeader(graph, ids, protocol, text, 4, horizon))
+            trace = engine.run(execution, scheduler, horizon, [writer], keep_steps=keep_steps, seed=4)
             writer.finish(trace)
             written.append(buffer.getvalue())
         assert calls == [1], text  # only the run that keeps no steps
@@ -184,6 +187,55 @@ def test_rand_masks_equal_the_scheduler_draws(p, n):
             assert np.flatnonzero(masks(t)).tolist() == sorted(scheduler.at(t))
 
 
+def kernel_decisions(protocol, cases):
+    """The kernel transition's decisions on cases (state, (view, view)), a
+    None view standing for an unwritten register, as the reference's
+    Decisions. Colors go in as uint8, as in a run."""
+    def fields(states):
+        x, a, b, r = zip(*((-1, 0, 0, 0) if s is None else (s.x, s.a, s.b, s.r or 0) for s in states))
+        return np.array(x), np.array(a, np.uint8), np.array(b, np.uint8), np.array(r)
+
+    pre = fields([state for state, _ in cases])
+    view = tuple(map(np.stack, zip(*(fields([views[side] for _, views in cases]) for side in (0, 1)))))
+    if protocol != FAST5:
+        pre, view = pre[:3] + (None,), view[:3] + (None,)
+    returns, colors, new = kernel._TRANSITIONS[protocol](pre, view, view[0] >= 0)
+    movers = np.arange(len(cases))
+    return list(kernel._Record(1, protocol, None, movers, pre, view, returns, colors, new)
+                .decisions.values())
+
+
+@pytest.mark.parametrize("protocol", CYCLE_ONLY)
+def test_a_transition_equals_activate_on_every_small_case(protocol):
+    """Every own (a, b) and neighbor (a, b) up to 4, each neighbor also
+    unwritten, under every order of the three ids: the uint8 colors and
+    their bitmasks neither overflow nor wrap. fast5's counters are 0 there,
+    as the five-color half reads none. fast5 then also takes counters 0, 1
+    and INFINITE in every combination, with every own (a, b) up to 4, each
+    neighbor written or not, and every id order: a written neighbor shows
+    (b, a), so the mover does not return and its identifier half runs
+    whenever both are written."""
+    r = 0 if protocol == FAST5 else None
+    colors = list(product(range(5), repeat=2))
+    orders = list(permutations((3, 10, 12)))
+    cases = []
+    for x, x0, x1 in orders:
+        own = [ProtocolState(x, a, b, r) for a, b in colors]
+        left, right = ([None] + [ProtocolState(v, a, b, r) for a, b in colors] for v in (x0, x1))
+        cases += [(state, views) for state in own for views in product(left, right)]
+    if protocol == FAST5:
+        for (x, x0, x1), (r, r0, r1), (a, b) in product(
+            orders, product((0, 1, INFINITE), repeat=3), colors
+        ):
+            left = (None, ProtocolState(x0, b, a, r0))
+            right = (None, ProtocolState(x1, b, a, r1))
+            cases += [(ProtocolState(x, a, b, r), views) for views in product(left, right)]
+    expected = [ACTIVATE[protocol](state, views) for state, views in cases]
+    got = kernel_decisions(protocol, cases)
+    wrong = [(case, g, e) for case, g, e in zip(cases, got, expected) if g != e]
+    assert not wrong[:5], f"{len(wrong)} of {len(cases)} cases differ"
+
+
 def test_cv_reduce_equals_the_reference_on_every_small_pair_and_at_the_limit():
     from wfcolor.cointoss import cv_reduce
 
@@ -198,11 +250,11 @@ def array_record(t, graph, registers, movers, published):
     """A kernel record of a fast5 step in which movers publish the given ids."""
     adjacency = np.array(graph.adjacency).T
     movers = np.array(movers)
-    pre = np.zeros((4, len(movers)), dtype=np.int64)
-    pre[kernel.X] = published
-    registers[:, movers] = pre
-    view = registers[:, adjacency[:, movers]]
-    returns, colors, new = kernel._fast5(pre, view, view[kernel.X] >= 0)
+    pre = kernel._fields("fast5", np.array(published, dtype=np.int64))
+    for register, values in zip(registers, pre):
+        register[movers] = values
+    view = kernel._take(registers, adjacency[:, movers])
+    returns, colors, new = kernel._fast5(pre, view, view[0] >= 0)
     active = np.zeros(graph.node_count, dtype=bool)
     active[movers] = True
     return kernel._Record(t, "fast5", active, movers, pre, view, returns, colors, new)
@@ -210,8 +262,7 @@ def array_record(t, graph, registers, movers, published):
 
 def test_xhat_observer_flags_colliding_arrays_as_its_loop_does():
     graph = cycle(5)
-    registers = np.zeros((4, 5), dtype=np.int64)
-    registers[kernel.X] = -1  # unwritten
+    registers = kernel._fields("fast5", np.full(5, -1, dtype=np.int64))  # unwritten
     records = [
         array_record(1, graph, registers, [0, 1, 3], [3, 3, 9]),
         array_record(2, graph, registers, [2, 4], [9, 3]),
