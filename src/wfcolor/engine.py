@@ -15,7 +15,7 @@ tests/test_kernel.py checks that restatement against `step`.
 An execution is its registers, states (built on first read), returns,
 activation counts and step count. `run` takes a fresh execution only, so a
 trace describes the whole execution from its first step: the trace is the
-outcome, and the kernel builds its tables from the ids alone.
+outcome, and the kernel builds its tables from the ids and the graph alone.
 
 Traces serialize as line-delimited JSON: a header line, one line per step
 with fields t/act/w/rd/dec, and a final line with out/tstar. Identical
@@ -210,9 +210,11 @@ def default_horizon(protocol: str, node_count: int) -> int:
 
 
 # run hands a run to the numpy kernel (kernel.py) from this many nodes on. A
-# kernel step has a fixed cost of about 100 us; measured against the loop,
-# every cycle protocol under sync and rand:0.3, 0.5 and 0.7 runs faster in the
-# kernel from 768 nodes on (sync from below 128). Small cycles never import numpy.
+# kernel step has a fixed cost of about 100 us (slow6) to 140 us (fast5), and
+# a graph's first kernel run builds its adjacency array, about 80 us here;
+# measured against the loop, every cycle protocol under sync and rand:0.3, 0.5
+# and 0.7 runs faster in the kernel from 768 nodes on (sync from below 128).
+# Small cycles never import numpy.
 KERNEL_MIN_NODES = 768
 # the kernel's cv_reduce takes bit lengths from float64, exact below this
 KERNEL_ID_LIMIT = 2**53
@@ -239,7 +241,10 @@ def run(
     A run keeping no step records of a cycle protocol on KERNEL_MIN_NODES
     nodes or more, every identifier below KERNEL_ID_LIMIT, goes to the numpy
     kernel when numpy imports; observers see every step either way. The trace
-    is the outcome: a kernel run leaves registers and states initial.
+    is the outcome: a kernel run leaves registers and states initial. Its
+    outputs are the execution's returns themselves, not a copy: the
+    execution is spent, as run refuses it, and an apply_step on it would
+    change the trace's outputs too.
 
     A run that keeps its step records runs with the cyclic collector paused,
     as in new_states, observers included: the records hold no reference
@@ -275,13 +280,7 @@ def run(
         seed,
         horizon,
     )
-    return Trace(
-        header,
-        steps,
-        dict(execution.returned),
-        dict(enumerate(execution.activations)),
-        tstar,
-    )
+    return Trace(header, steps, execution.returned, dict(enumerate(execution.activations)), tstar)
 
 
 def _kernel(execution: Execution, scheduler):
@@ -616,8 +615,7 @@ def read_trace(path: str) -> Trace:
             if tstar is not None and not stopped:
                 raise ValueError(f"tstar is {tstar}, but the run goes on after step {last}: "
                                  f"a node the schedule may still activate is working")
-            trace = Trace(header, steps, dict(returned),
-                          dict(enumerate(execution.activations)), tstar)
+            trace = Trace(header, steps, returned, dict(enumerate(execution.activations)), tstar)
             expected = final_line(trace)
             if expected != final:
                 raise ValueError(_difference(final, expected, n))

@@ -8,15 +8,16 @@ uint8, as are the color bitmasks the transitions build (a color is at most
 `protocols.INFINITE`, the same int as in a ProtocolState, and slow6 and
 slow5, which never read r, have no r array. A step writes the movers'
 fields into the registers, gathers each mover's two neighbor registers
-through a (2, n) adjacency array and applies the protocol's transition to
-all movers at once. Each step lists its returners and their colors as they
-happen; the run concatenates the lists at the end, which is the reference
-order of returns: by step, then by node. `cv_reduce` gets bit lengths from
-`np.frexp`, which is exact below 2**53, and the least color missing from a
-bitmask is a table lookup. Sync, rand and crash schedules reach a step as
-bool masks built without a node set (see `_activation_masks`). On the
-10**5-cycle a fast5 run takes 1/22 to 1/28 of the reference loop's time
-(README, "Large cycles").
+through a (2, n) adjacency array, built once per graph (`_Adjacency`), and
+applies the protocol's transition to all movers at once. Each step lists
+its returners and their colors as they happen; the run concatenates the
+lists at the end, which is the reference order of returns: by step, then by
+node. `cv_reduce` gets bit lengths from `np.frexp`, which is exact below
+2**53, and the least color missing from a bitmask is a table lookup. Sync,
+rand and crash schedules reach a step as bool masks built without a node
+set (see `_activation_masks`). On the 10**5-cycle a fast5 run takes 1/25 to
+1/33 of the reference loop's time; the first run on a graph also builds its
+adjacency array, about 8 ms (README, "Large cycles").
 
 Observers get one `_Record` per step, read by field name (it is not a tuple).
 It holds the step's arrays and builds each StepRecord field on first read, so
@@ -31,6 +32,7 @@ below 2**53 (see `engine.KERNEL_MIN_NODES`).
 
 from __future__ import annotations
 
+import weakref
 from functools import cached_property
 from itertools import chain, repeat
 
@@ -173,6 +175,38 @@ class _Masks:
         return self._mask
 
 
+class _Adjacency:
+    """The (2, n) neighbor array of a 2-regular graph, read-only. The last
+    graph's array is kept, as a sweep or a benchmark runs one graph again and
+    again; a weak reference holds the graph, and its callback drops the array
+    with the graph. Not a WeakKeyDictionary: a Graph hashes by value, which
+    reads all n adjacency tuples."""
+
+    def __init__(self):
+        # (a weak reference to the graph, its array) in one attribute, so that
+        # no thread reads one graph's reference with another graph's array
+        self._last = None
+
+    def __call__(self, graph) -> np.ndarray:
+        last = self._last
+        if last is not None and last[0]() is graph:
+            return last[1]
+        n = graph.node_count
+        array = np.fromiter(chain.from_iterable(graph.adjacency), np.int64, 2 * n)
+        array = array.reshape(n, 2).T.copy()
+        array.flags.writeable = False
+        self._last = weakref.ref(graph, self._forget), array
+        return array
+
+    def _forget(self, ref) -> None:
+        last = self._last
+        if last is not None and last[0] is ref:
+            self._last = None
+
+
+_adjacency = _Adjacency()
+
+
 def _activation_masks(scheduler: Scheduler, n: int):
     """t -> sigma(t) as a bool mask. Sync is one all-true mask. A rand:
     schedule's draws come from one reused RandomState loaded with the state
@@ -266,16 +300,16 @@ def _steps(execution: Execution, scheduler: Scheduler, horizon: int, observers):
     """The steps of run: the last step, the last one with a mover, whether
     the run terminated, the activation counts, and each step's returners
     and their colors, for the steps with any. The arrays start from the ids
-    alone, as the execution is fresh: every state initial, every register
-    unwritten and every node working. The run stops once no node of the
-    scheduler's support_after(t + 1) is working; a None support stands for
-    every node, so the run then asks working.any(), and only a support that
-    is a set is converted to a mask."""
+    and the graph's adjacency array alone, as the execution is fresh: every
+    state initial, every register unwritten and every node working. The
+    run stops once no node of the scheduler's support_after(t + 1) is
+    working; a None support stands for every node, so the run then asks
+    working.any(), and only a support that is a set is converted to a
+    mask."""
     protocol = execution.protocol
     transition = _TRANSITIONS[protocol]
     n = execution.graph.node_count
-    adjacency = np.fromiter(chain.from_iterable(execution.graph.adjacency), np.int64, 2 * n)
-    adjacency = adjacency.reshape(n, 2).T.copy()
+    adjacency = _adjacency(execution.graph)
     states = _fields(protocol, np.fromiter(execution.ids.ids, np.int64, n))
     registers = _fields(protocol, np.full(n, -1, dtype=np.int64))
     working = np.ones(n, dtype=bool)

@@ -168,6 +168,28 @@ def test_sweep_varies_ids_across_trials(capsys):
     assert len(set(seeds)) == 4
 
 
+def test_sweep_prints_the_same_with_the_kernel_as_with_the_reference_loop(monkeypatch, capsys):
+    pytest.importorskip("numpy")
+    from wfcolor import engine, kernel
+
+    argv = ("sweep", "--protocol", "fast5", "--n", "800", "--trials", "3", "--sched", "rand:0.5:1")
+    graphs = []
+    real_run = kernel.run
+
+    def count(execution, *args):
+        graphs.append(execution.graph)
+        return real_run(execution, *args)
+
+    monkeypatch.setattr(kernel, "run", count)
+    code = run_cli(*argv)
+    out = capsys.readouterr().out
+    assert len(graphs) == 3 and graphs[0] is graphs[1] is graphs[2]  # one adjacency array
+    monkeypatch.setattr(engine, "KERNEL_MIN_NODES", 801)
+    assert run_cli(*argv) == code == 0
+    assert capsys.readouterr().out == out
+    assert len(graphs) == 3
+
+
 def test_mc_triangle_passes(capsys):
     code = run_cli("mc", "--protocol", "slow6", "--n", "3", "--ids", "1,2,5", "--bound", "8")
     out = capsys.readouterr().out

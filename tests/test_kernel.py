@@ -5,8 +5,10 @@ reference loop next to it and asks for the same returns and counts, the same
 step records and the same trace bytes.
 """
 
+import gc
 import io
 import random
+import weakref
 from itertools import permutations, product
 
 import pytest
@@ -20,6 +22,7 @@ from wfcolor.engine import StepRecord, TraceFileWriter, TraceHeader, new_executi
 from wfcolor.model import (  # noqa: E402
     cycle,
     explicit_ids,
+    from_edges,
     monotone_chain_ids,
     proper_coloring_ids,
     random_unique_ids,
@@ -74,10 +77,10 @@ def runs(draw):
     return n, protocol, ids_kind, seed, text, horizon
 
 
-def run_both(n, protocol, ids, text, horizon):
+def run_both(graph, protocol, ids, text, horizon):
     """The reference run and the kernel run of one instance: each execution,
     its tstar, its materialized records and its trace writer's step lines."""
-    graph = cycle(n)
+    n = graph.node_count
     header = TraceHeader(graph, ids, protocol, text, 0, horizon)
     results = []
     for use_kernel in (False, True):
@@ -101,9 +104,13 @@ STATE = ("returned", "activations", "last_move", "_t")  # what the trace reports
 @given(runs())
 def test_the_kernel_leaves_what_the_reference_leaves(case):
     n, protocol, ids_kind, seed, text, horizon = case
-    ids = make_ids(cycle(n), ids_kind, seed)
+    graph = cycle(n)
+    assert_same_runs(graph, protocol, make_ids(graph, ids_kind, seed), text, horizon)
+
+
+def assert_same_runs(graph, protocol, ids, text, horizon):
     (ref, ref_tstar, ref_records, ref_lines), (ker, ker_tstar, ker_records, ker_lines) = run_both(
-        n, protocol, ids, text, horizon
+        graph, protocol, ids, text, horizon
     )
     assert ker_tstar == ref_tstar
     for name in STATE:
@@ -111,6 +118,27 @@ def test_the_kernel_leaves_what_the_reference_leaves(case):
     assert list(ker.returned) == list(ref.returned)  # in the order of return
     assert ker_records == ref_records
     assert ker_lines == ref_lines
+
+
+def test_the_adjacency_array_is_the_graph_run_and_goes_with_it():
+    """The kernel keeps the last graph's adjacency array. Two labelings of
+    one ring, run back to back and then alternating, each run as the
+    reference runs it; the array outlives neither graph."""
+    n = engine.KERNEL_MIN_NODES
+    order = random.Random(4).sample(range(n), n)
+    graphs = [cycle(n), from_edges(n, ((order[i - 1], order[i]) for i in range(n)))]
+    assert graphs[0].adjacency != graphs[1].adjacency
+    ids = random_unique_ids(graphs[0], seed=6)
+    for graph in graphs[:1] * 2 + graphs[1:] * 2 + graphs * 2:
+        assert_same_runs(graph, "fast5", ids, "rand:0.5:3", 400)
+    array = kernel._adjacency(graphs[0])
+    assert array is kernel._adjacency(graphs[0])  # built once per graph
+    assert array.tolist() == [list(side) for side in zip(*graphs[0].adjacency)]
+    alive = weakref.ref(graphs[0])
+    del graphs, array
+    gc.collect()
+    assert alive() is None
+    assert kernel._adjacency._last is None
 
 
 @pytest.mark.parametrize("text", ["sync", "rand:0.5:3"])
@@ -123,6 +151,7 @@ def test_a_kernel_run_records_only_what_the_trace_reports(text):
     trace = engine.run(ker, scheduler, 400, keep_steps=False)
     tstar = engine._run_steps(ref, make_scheduler(text, n), 400, (), None)
     assert trace.tstar == tstar is not None
+    assert trace.outputs is ker.returned  # not a copy: the execution is spent
     assert ker.registers == [None] * n
     assert ker._states is None  # the states were never built
     assert scheduler._all is None  # nor the set of all nodes
@@ -156,6 +185,37 @@ def test_run_routes_a_large_cycle_to_the_kernel_with_identical_trace_bytes(monke
         calls.clear()
 
 
+@pytest.mark.parametrize("top, routed", [(engine.KERNEL_ID_LIMIT, False),
+                                         (engine.KERNEL_ID_LIMIT - 1, True)])
+def test_run_routes_by_the_largest_id(monkeypatch, top, routed):
+    # the kernel's cv_reduce reads bit lengths from float64, exact below KERNEL_ID_LIMIT
+    def refuse(*args):
+        raise AssertionError("kernel.run called")
+
+    n = engine.KERNEL_MIN_NODES
+    graph = cycle(n)
+    values = random.Random(7).sample(range(2**52), n - 1) + [top]
+    random.Random(8).shuffle(values)
+    ids = explicit_ids(graph, values)
+    calls = []
+    real_run = kernel.run
+
+    def count(*args):
+        calls.append(1)
+        return real_run(*args)
+
+    monkeypatch.setattr(kernel, "run", count if routed else refuse)
+    fast, ref = new_execution(graph, ids, "fast5"), new_execution(graph, ids, "fast5")
+    trace = engine.run(fast, make_scheduler("rand:0.5:2", n), 400, keep_steps=False)
+    reference = engine.run(ref, make_scheduler("rand:0.5:2", n), 400, keep_steps=True)
+    assert calls == [1] * routed
+    assert trace.terminated
+    assert (trace.outputs, trace.activations, trace.tstar) == (
+        reference.outputs, reference.activations, reference.tstar
+    )
+    assert list(fast.returned) == list(ref.returned)
+
+
 @pytest.mark.parametrize("text", ["rr", "crash:3@1;rr", "crash:3@1;crash:9@2;rr"])
 def test_run_keeps_rr_in_the_reference_loop(monkeypatch, text):
     # a kernel step costs O(n) and rr moves one node a step
@@ -174,6 +234,7 @@ def test_run_keeps_rr_in_the_reference_loop(monkeypatch, text):
     assert (trace.outputs, trace.activations, trace.tstar) == (
         reference.outputs, reference.activations, reference.tstar
     )
+    assert trace.outputs is fast.returned and reference.outputs is ref.returned  # not copies
     assert list(fast.returned) == list(ref.returned)
 
 
