@@ -260,7 +260,7 @@ def _read_header(path: str) -> engine.TraceHeader:
     try:
         return engine.parse_header(line.decode())
     except ValueError as exc:
-        raise ConfigError(f"trace file {path}: {exc}") from None
+        raise ConfigError(f"trace file {path} line 1: {exc}") from None
 
 
 def cmd_sweep(cfg: ExperimentConfig) -> int:

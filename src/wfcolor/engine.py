@@ -240,11 +240,11 @@ def run(
 
     A run keeping no step records of a cycle protocol on KERNEL_MIN_NODES
     nodes or more, every identifier below KERNEL_ID_LIMIT, goes to the numpy
-    kernel when numpy imports; observers see every step either way. The trace
-    is the outcome: a kernel run leaves registers and states initial. Its
-    outputs are the execution's returns themselves, not a copy: the
-    execution is spent, as run refuses it, and an apply_step on it would
-    change the trace's outputs too.
+    kernel when numpy imports and kernel.takes its schedule; observers see
+    every step either way. The trace is the outcome: a kernel run leaves
+    registers and states initial. Its outputs are the execution's returns
+    themselves, not a copy: the execution is spent, as run refuses it, and
+    an apply_step on it would change the trace's outputs too.
 
     A run that keeps its step records runs with the cyclic collector paused,
     as in new_states, observers included: the records hold no reference
@@ -284,9 +284,8 @@ def run(
 
 
 def _kernel(execution: Execution, scheduler):
-    """The kernel module when it may run this execution under this scheduler,
-    else None. It refuses rr, and a crash schedule over rr: a kernel step
-    costs O(n) however few nodes move, and rr moves one."""
+    """The kernel module when it may run this execution under this scheduler
+    (see kernel.takes), else None."""
     ids = execution.ids.ids  # naturals, as IdAssignment checks
     if (
         execution.protocol not in CYCLE_ONLY
@@ -294,18 +293,11 @@ def _kernel(execution: Execution, scheduler):
         or max(ids) >= KERNEL_ID_LIMIT
     ):
         return None
-    from .schedulers import CrashSched, RoundRobin  # schedulers imports this module
-
-    base = scheduler.descriptor
-    while isinstance(base, CrashSched):
-        base = base.base
-    if isinstance(base, RoundRobin):
-        return None
     try:
         from . import kernel
     except ImportError:  # numpy is an optional dependency
         return None
-    return kernel
+    return kernel if kernel.takes(scheduler) else None
 
 
 def _run_steps(
@@ -477,11 +469,19 @@ class TraceFileWriter:
         self._fh.write(final_line(trace) + "\n")
 
 
+def _object(line: str) -> dict:
+    """The JSON object on a line; a ValueError when it holds another value."""
+    raw = json.loads(line)
+    if type(raw) is not dict:
+        raise ValueError("not a JSON object")
+    return raw
+
+
 def parse_header(line: str) -> TraceHeader:
     """The header of a trace; a ValueError names a field it lacks or whose
     type is wrong."""
     try:
-        raw = json.loads(line)
+        raw = _object(line)
         n, edges = raw["graph"]["n"], [tuple(e) for e in raw["graph"]["edges"]]
         if type(n) is not int:  # a bool would pass as 0 or 1
             raise ValueError(f"trace header field 'graph.n' is not an integer: {n!r}")
@@ -499,6 +499,8 @@ def parse_header(line: str) -> TraceHeader:
                 raise ValueError(f"trace header field {name!r} is not an integer: {value!r}")
         if horizon < 0:
             raise ValueError(f"trace header field 'horizon' is negative: {horizon}")
+        if horizon == 0:
+            raise ValueError("trace header field 'horizon' is 0, but a run takes at least 1 step")
         return TraceHeader(graph, ids, raw["protocol"], sched, seed, horizon)
     except json.JSONDecodeError:
         raise ValueError("trace header is not a JSON line") from None
@@ -513,7 +515,7 @@ def _difference(line: str, expected: str, n: int, t: int | None = None) -> str:
     the replay of step t (of the whole trace, for None) writes: a field it
     lacks, its step number, a node outside the graph, or a node's entry in
     a field. Entries are compared as JSON text, so true is not taken for 1."""
-    raw, replay = json.loads(line), json.loads(expected)  # .keys() fails on a non-object
+    raw, replay = _object(line), json.loads(expected)
     whose = "the replay" if t is None else f"the replay of step {t}"
     if replay.keys() - raw.keys():
         return f"no field {min(replay.keys() - raw.keys())!r}"
@@ -601,7 +603,7 @@ def read_trace(path: str) -> Trace:
             lineno, final = len(steps) + 2, line.decode()
             ended = final.endswith("\n")
             final = final[:-1] if ended else final
-            tstar = json.loads(final)["tstar"]
+            tstar = _object(final)["tstar"]
             last, moved = len(steps), execution.last_move
             if tstar is not None and not (type(tstar) is int and 0 <= tstar <= last):
                 raise ValueError(f"tstar {tstar!r} is neither null nor a step from 0 to {last}")

@@ -8,7 +8,7 @@ uint8, as are the color bitmasks the transitions build (a color is at most
 `protocols.INFINITE`, the same int as in a ProtocolState, and slow6 and
 slow5, which never read r, have no r array. A step writes the movers'
 fields into the registers, gathers each mover's two neighbor registers
-through a (2, n) adjacency array, built once per graph (`_Adjacency`), and
+through a (2, n) adjacency array kept in the graph (`_adjacency`), and
 applies the protocol's transition to all movers at once. Each step lists
 its returners and their colors as they happen; the run concatenates the
 lists at the end, which is the reference order of returns: by step, then by
@@ -26,21 +26,20 @@ no ProtocolState; nor does the run, which leaves registers and states initial.
 
 `engine.step` stays the one definition of the step; tests/test_kernel.py
 checks this restatement against it. `engine.run` sends a run here only when
-no step records are kept, the graph is large and every identifier lies
-below 2**53 (see `engine.KERNEL_MIN_NODES`).
+no step records are kept, the graph is large, every identifier lies below
+2**53 (see `engine.KERNEL_MIN_NODES`) and `takes` the schedule.
 """
 
 from __future__ import annotations
 
-import weakref
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain, repeat
 
 import numpy as np
 
 from .engine import Execution
 from .protocols import FAST5, INFINITE, SLOW5, SLOW6, _continue, _return, mex, new_states
-from .schedulers import CrashSched, RandomSched, Scheduler, Synchronous, random_stream
+from .schedulers import CrashSched, RandomSched, RoundRobin, Scheduler, Synchronous, random_stream
 
 _MEX = np.array([mex(c for c in range(6) if m >> c & 1) for m in range(64)], dtype=np.uint8)
 
@@ -159,52 +158,45 @@ def _colors(colors: tuple) -> list:
     return list(zip(*(c.tolist() for c in colors))) if len(colors) == 2 else colors[0].tolist()
 
 
-class _Masks:
-    """Bool masks of node sets. The last set converted is kept, since
-    support_after hands over the same frozenset until its answer changes."""
+def _masks(n: int):
+    """Bool masks of node sets on n nodes. The last set converted is kept,
+    since support_after hands over the same frozenset until its answer changes."""
 
-    def __init__(self, n: int):
-        self._n = n
-        self._nodes = self._mask = None
+    @lru_cache(maxsize=1)
+    def mask(nodes: frozenset[int]) -> np.ndarray:
+        array = np.zeros(n, dtype=bool)
+        array[np.fromiter(nodes, dtype=np.int64, count=len(nodes))] = True
+        return array
 
-    def __call__(self, nodes: frozenset[int]) -> np.ndarray:
-        if nodes is not self._nodes:
-            mask = np.zeros(self._n, dtype=bool)
-            mask[np.fromiter(nodes, dtype=np.int64, count=len(nodes))] = True
-            self._nodes, self._mask = nodes, mask
-        return self._mask
+    return mask
 
 
-class _Adjacency:
-    """The (2, n) neighbor array of a 2-regular graph, read-only. The last
-    graph's array is kept, as a sweep or a benchmark runs one graph again and
-    again; a weak reference holds the graph, and its callback drops the array
-    with the graph. Not a WeakKeyDictionary: a Graph hashes by value, which
-    reads all n adjacency tuples."""
+_ADJACENCY = "_kernel_adjacency"  # the key of a graph's array in its __dict__
 
-    def __init__(self):
-        # (a weak reference to the graph, its array) in one attribute, so that
-        # no thread reads one graph's reference with another graph's array
-        self._last = None
 
-    def __call__(self, graph) -> np.ndarray:
-        last = self._last
-        if last is not None and last[0]() is graph:
-            return last[1]
+def _adjacency(graph) -> np.ndarray:
+    """The (2, n) neighbor array of a 2-regular graph, read-only, built once
+    and kept in the graph's __dict__, where cached_property keeps
+    Graph.is_cycle: it lives as long as its graph, and no lookup hashes the
+    graph, which would read all n adjacency tuples."""
+    array = graph.__dict__.get(_ADJACENCY)
+    if array is None:
         n = graph.node_count
         array = np.fromiter(chain.from_iterable(graph.adjacency), np.int64, 2 * n)
         array = array.reshape(n, 2).T.copy()
         array.flags.writeable = False
-        self._last = weakref.ref(graph, self._forget), array
-        return array
-
-    def _forget(self, ref) -> None:
-        last = self._last
-        if last is not None and last[0] is ref:
-            self._last = None
+        graph.__dict__[_ADJACENCY] = array
+    return array
 
 
-_adjacency = _Adjacency()
+def takes(scheduler: Scheduler) -> bool:
+    """Whether the kernel runs a schedule: not rr, nor a crash schedule over
+    rr, since a kernel step costs O(n) however few nodes move, and rr moves
+    one."""
+    d = scheduler.descriptor
+    while isinstance(d, CrashSched):
+        d = d.base
+    return not isinstance(d, RoundRobin)
 
 
 def _activation_masks(scheduler: Scheduler, n: int):
@@ -238,8 +230,8 @@ def _activation_masks(scheduler: Scheduler, n: int):
             return generator.random_sample(n) < d.p_act
 
         return draw
-    masks = _Masks(n)
-    return lambda t: masks(scheduler.at(t))
+    mask = _masks(n)
+    return lambda t: mask(scheduler.at(t))
 
 
 # --- step records -------------------------------------------------------------
@@ -316,7 +308,7 @@ def _steps(execution: Execution, scheduler: Scheduler, horizon: int, observers):
     activations = np.zeros(n, dtype=np.int64)
     returners, outputs = [], []  # per step with returns, in node order
     activation_mask = _activation_masks(scheduler, n)
-    support_mask = _Masks(n)
+    support_mask = _masks(n)
     last_move, terminated = 0, False
     for t in range(1, horizon + 1):
         active = activation_mask(t)

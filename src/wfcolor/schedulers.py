@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
 from .engine import KERNEL_MIN_NODES, new_execution, step
@@ -187,9 +188,11 @@ class Scheduler:
                 if t < 0:
                     raise ValueError(f"crash time {t} is negative")
             self._base = Scheduler(descriptor.base, node_count)
-            # support_after's last set, with the base support and crash count it came from
-            self._support = self._support_base = None
-            self._passed = 0
+            # support_after's last answer, by (base support, crashed nodes); no method
+            # of self, so that the cache holds no reference to the scheduler
+            self._support = lru_cache(maxsize=1)(
+                lambda base, dead: (frozenset(range(node_count)) if base is None else base) - dead
+            )
         if isinstance(descriptor, ReplaySched):
             for s in descriptor.sets:
                 for p in s:
@@ -229,21 +232,16 @@ class Scheduler:
         when every node may.
 
         A crash schedule answers the very same frozenset from one crash time
-        to the next (while its base's answer is the same object), so the
+        to the next (while its base's answer is the same set): it keeps its
+        last answer, keyed by its base's answer and its crashed nodes. So the
         kernel, which converts a set to a mask once per object, does so once
         per crash time.
         """
         d = self.descriptor
         if isinstance(d, CrashSched):
             base = self._base.support_after(t)
-            passed = sum(t >= start for _, start in d.crash_times)
-            if not passed:
-                return base
-            if base is not self._support_base or passed != self._passed:
-                dead = {node for node, start in d.crash_times if t >= start}
-                alive = frozenset(range(self.node_count)) if base is None else base
-                self._support, self._support_base, self._passed = alive - dead, base, passed
-            return self._support
+            dead = frozenset([node for node, start in d.crash_times if t >= start])
+            return self._support(base, dead) if dead else base
         if isinstance(d, ReplaySched):
             index = min(max(t - 1, 0), len(d.sets))
             return self._suffix[index]

@@ -108,6 +108,19 @@ def test_from_trace_with_malformed_header_is_usage_error(tmp_path, capsys):
         assert problem in capsys.readouterr().err
 
 
+def test_a_trace_with_horizon_0_is_usage_error(tmp_path, capsys):
+    """No run writes a header with horizon 0: audit and run --from-trace both
+    refuse one at line 1, though its steps and final line agree with it."""
+    path = chain_traces(tmp_path)[0]
+    header = json.loads(path.read_text().splitlines()[0])
+    path.write_text(json.dumps({**header, "horizon": 0}) + '\n{"out":{},"tstar":null}\n')
+    capsys.readouterr()
+    problem = "trace header field 'horizon' is 0, but a run takes at least 1 step"
+    for command in (("audit", str(path)), ("run", "--from-trace", str(path))):
+        assert run_cli(*command) == 2
+        assert capsys.readouterr().err == f"error: trace file {path} line 1: {problem}\n"
+
+
 def test_zero_horizon_is_usage_error(capsys):
     assert run_cli("run", "--protocol", "slow6", "--n", "4", "--horizon", "0") == 2
     assert run_cli("sweep", "--protocol", "slow6", "--n", "4", "--trials", "2",
@@ -370,7 +383,7 @@ def test_from_trace_that_is_not_json_names_the_file(tmp_path, capsys):
         path = tmp_path / name
         path.write_text(text)
         assert run_cli("run", "--from-trace", str(path)) == 2
-        assert f"trace file {path}: trace header is not a JSON line" in capsys.readouterr().err
+        assert f"trace file {path} line 1: trace header is not a JSON line" in capsys.readouterr().err
 
 
 def write_audit_traces(directory):
@@ -646,7 +659,7 @@ def test_audit_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, capsys):
     at = data.index(b"slow6")
     path.write_bytes(data[:at] + b"\xe9" + data[at + 1:])
     assert run_cli("run", "--from-trace", str(path)) == 2
-    assert (f"error: trace file {path}: 'utf-8' codec can't decode byte 0xe9"
+    assert (f"error: trace file {path} line 1: 'utf-8' codec can't decode byte 0xe9"
             in capsys.readouterr().err)
 
 

@@ -466,6 +466,15 @@ def _header_graph(name, value):
     return mangle
 
 
+def _replace(which, text):
+    """Replace the header, the chosen step line or the final line with text."""
+    def mangle(lines, i):
+        j = {"header": 0, "step": i, "final": len(lines) - 1}[which]
+        lines[j] = text
+        return j + 1
+    return mangle
+
+
 def _final_without_out(lines, i):
     raw = json.loads(lines[-1])
     del raw["out"]
@@ -560,6 +569,11 @@ def _return_early(lines, i):
         (_header_field("protocol", "slow7"), "unknown protocol 'slow7'"),
         (_header_field("horizon", "abc"), "field 'horizon' is not an integer: 'abc'"),
         (_header_field("horizon", -1), "field 'horizon' is negative: -1"),
+        (_header_field("horizon", 0), "field 'horizon' is 0, but a run takes at least 1 step"),
+        (_replace("header", "[1]"), "not a JSON object"),
+        (_replace("step", "5"), "not a JSON object"),
+        (_replace("step", "[1,2]"), "not a JSON object"),
+        (_replace("final", "[1]"), "not a JSON object"),
         (_header_graph("edge", [False, True]), "field 'graph.edges' holds False, not an integer"),
         (_header_graph("n", 4.0), "field 'graph.n' is not an integer: 4.0"),
         (_edit_step(lambda raw: raw.update(t=99)), "t 99 is not this line's step number"),
@@ -583,7 +597,8 @@ def _return_early(lines, i):
          "float-field", "bool-field", "memoized-false-read", "true-activation",
          "string-color", "nested-color", "bool-color", "bool-output",
          "unknown-protocol", "string-horizon",
-         "negative-horizon", "bool-edge", "float-node-count", "misnumbered-step",
+         "negative-horizon", "zero-horizon", "list-header", "int-step", "list-step",
+         "list-final", "bool-edge", "float-node-count", "misnumbered-step",
          "string-tstar", "tstar-after-last-step", "negative-tstar", "steps-past-horizon",
          "null-tstar-before-horizon", "tstar-not-last-move", "move-after-return",
          "output-differs-from-return", "return-missing-from-out"],

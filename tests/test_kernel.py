@@ -121,24 +121,27 @@ def assert_same_runs(graph, protocol, ids, text, horizon):
 
 
 def test_the_adjacency_array_is_the_graph_run_and_goes_with_it():
-    """The kernel keeps the last graph's adjacency array. Two labelings of
-    one ring, run back to back and then alternating, each run as the
-    reference runs it; the array outlives neither graph."""
+    """The kernel keeps each graph's adjacency array. Two labelings of one
+    ring, run back to back and then alternating, each run as the reference
+    runs it; while both live, each graph's array is built once and comes
+    back after the other graph runs, and it outlives neither graph."""
     n = engine.KERNEL_MIN_NODES
     order = random.Random(4).sample(range(n), n)
     graphs = [cycle(n), from_edges(n, ((order[i - 1], order[i]) for i in range(n)))]
     assert graphs[0].adjacency != graphs[1].adjacency
     ids = random_unique_ids(graphs[0], seed=6)
+    arrays = []
     for graph in graphs[:1] * 2 + graphs[1:] * 2 + graphs * 2:
         assert_same_runs(graph, "fast5", ids, "rand:0.5:3", 400)
-    array = kernel._adjacency(graphs[0])
-    assert array is kernel._adjacency(graphs[0])  # built once per graph
-    assert array.tolist() == [list(side) for side in zip(*graphs[0].adjacency)]
-    alive = weakref.ref(graphs[0])
-    del graphs, array
+        arrays.append(kernel._adjacency(graph))
+    assert len({id(array) for array in arrays}) == 2  # one array per graph, built once
+    assert arrays[0] is arrays[4] and arrays[2] is arrays[5]  # back after the other ran
+    for graph, array in zip(graphs, arrays[4:]):
+        assert array.tolist() == [list(side) for side in zip(*graph.adjacency)]
+    alive = [weakref.ref(graphs[0]), weakref.ref(arrays[0])]
+    del graphs[0], arrays[:]
     gc.collect()
-    assert alive() is None
-    assert kernel._adjacency._last is None
+    assert [ref() for ref in alive] == [None, None]
 
 
 @pytest.mark.parametrize("text", ["sync", "rand:0.5:3"])
