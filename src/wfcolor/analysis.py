@@ -15,7 +15,8 @@ least or greatest element or an inclusion test is one int operation.
 
 The published-identifier coloring of fast5 is checked by a streaming
 observer, fed each step record as it happens, so that large runs are checked
-without retaining their step records.
+without retaining their step records: it compares the id each mover wrote
+with the published ids it read, and replays nothing.
 """
 
 from __future__ import annotations
@@ -264,17 +265,15 @@ class XhatColoringObserver:
     report. A numpy kernel record carries the step's ids as arrays
     (`movers`, `written`, and `read` with -1 for an unwritten register) and is
     checked with one comparison of the ids read against the ids written,
-    without building its fields. Any other record replays the published ids
-    of its writes.
+    without building its fields. Any other record compares the id of each
+    write with the views that its mover read.
     """
 
     def __init__(self, graph: Graph):
         self._adjacency = graph.adjacency
-        self._xhat: list[int | None] = [None] * graph.node_count
         self.report = AuditReport("xhat_coloring")
 
     def __call__(self, record: StepRecord) -> None:
-        xhat = self._xhat
         adjacency = self._adjacency
         written = getattr(record, "written", None)
         if written is not None:
@@ -287,16 +286,14 @@ class XhatColoringObserver:
                     q = adjacency[p][j]
                     self.report.flag(record.t, p, f"published ids of neighbors {p},{q} both {xp}")
             return
-        writes = record.writes
-        for p, state in writes.items():
-            xhat[p] = state.x
+        reads = record.reads
         checked = 0
-        for p in writes:
-            xp = xhat[p]
+        for p, state in record.writes.items():
+            xp = state.x
             neighbors = adjacency[p]
             checked += len(neighbors)
-            for q in neighbors:
-                if xhat[q] == xp:
+            for q, view in zip(neighbors, reads[p]):
+                if view is not None and view.x == xp:
                     self.report.flag(
                         record.t, p, f"published ids of neighbors {p},{q} both {xp}"
                     )

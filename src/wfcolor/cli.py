@@ -17,7 +17,7 @@ import re
 import statistics
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 from . import analysis, cointoss, engine, model, schedulers
 from .protocols import FAST5, PROTOCOLS, SLOW5, SLOW6
@@ -205,19 +205,16 @@ def _print_outcome(trace: engine.Trace, reports: list[analysis.AuditReport]) -> 
 
 def cmd_run(cfg: ExperimentConfig, from_trace: str | None = None) -> int:
     if from_trace is not None:
-        header = _read_header(from_trace)
-        graph, ids = header.graph, header.ids
-        protocol, sched_text = header.protocol, header.sched
-        seed, horizon = header.seed, header.horizon
+        header, scheduler = _read_header(from_trace)
+        execution = engine.new_execution(header.graph, header.ids, header.protocol)
     else:
         graph = _experiment(cfg)
-        seed = cfg.seed
-        ids = _resolve_ids(cfg, graph, seed)
-        protocol = cfg.protocol
-        sched_text = cfg.sched or "sync"
-        horizon = _horizon(cfg, protocol, graph.node_count)
-    execution = engine.new_execution(graph, ids, protocol)
-    scheduler = schedulers.make_scheduler(sched_text, graph.node_count)
+        ids = _resolve_ids(cfg, graph, cfg.seed)
+        execution = engine.new_execution(graph, ids, cfg.protocol)  # refused before the sched
+        scheduler = schedulers.make_scheduler(cfg.sched or "sync", graph.node_count)
+        header = engine.TraceHeader(graph, ids, cfg.protocol, scheduler.text, cfg.seed,
+                                    _horizon(cfg, cfg.protocol, graph.node_count))
+    graph, protocol = header.graph, header.protocol
 
     audit_observers = _fast5_observers(protocol, graph)
     observers = list(audit_observers)
@@ -225,14 +222,11 @@ def cmd_run(cfg: ExperimentConfig, from_trace: str | None = None) -> int:
     trace_fh = None
     if cfg.trace:
         trace_fh = open(cfg.trace, "w", encoding="utf-8")
-        writer = engine.TraceFileWriter(
-            trace_fh,
-            engine.TraceHeader(graph, ids, protocol, scheduler.text, seed, horizon),
-        )
+        writer = engine.TraceFileWriter(trace_fh, header)
         observers.append(writer)
 
     keep_steps = protocol in _STEP_AUDITS
-    trace = engine.run(execution, scheduler, horizon, observers, keep_steps, seed)
+    trace = engine.run(execution, scheduler, header.horizon, observers, keep_steps, header.seed)
     if writer is not None:
         writer.finish(trace)
         trace_fh.close()
@@ -254,13 +248,20 @@ def cmd_audit(path: str) -> int:
     )
 
 
-def _read_header(path: str) -> engine.TraceHeader:
+def _read_header(path: str) -> tuple[engine.TraceHeader, schedulers.Scheduler]:
+    """A stored trace's header and the scheduler its sched builds, the sched
+    rewritten as that scheduler writes it (a schedule file's sets inline). An
+    error in the header, its instance or its sched names the header's line,
+    as audit does."""
     with open(path, "rb") as fh:
         line = fh.readline()
     try:
-        return engine.parse_header(line.decode())
+        header = engine.parse_header(line.decode())
+        scheduler = schedulers.make_scheduler(header.sched, header.graph.node_count)
+        engine.check_instance(header.graph, header.ids, header.protocol)
     except ValueError as exc:
         raise ConfigError(f"trace file {path} line 1: {exc}") from None
+    return replace(header, sched=scheduler.text), scheduler
 
 
 def cmd_sweep(cfg: ExperimentConfig) -> int:
@@ -425,7 +426,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         p.add_argument("--seed", type=int, help="base seed (default: WFC_SEED or 0)")
         for flag in flags:
             p.add_argument(f"--{flag}", **_FLAGS[flag])
-    audit = sub.add_parser("audit", help="audit a stored trace without running it again")
+    audit = sub.add_parser("audit", help="replay a stored trace from its header and audit it")
     audit.add_argument("path", help="trace file written by run --trace")
     sub.add_parser("lemmas", help="run the exhaustive reduction-function checks")
     return parser, sub.choices

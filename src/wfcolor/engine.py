@@ -477,26 +477,39 @@ def _object(line: str) -> dict:
     return raw
 
 
+_KINDS = {dict: "an object", list: "a list", int: "an integer", str: "a string"}
+
+
+def _field(raw: dict, path: str, kind: type):
+    """The header's field at a dotted path, refused unless its type is kind
+    (a bool is not an int)."""
+    value = raw
+    for key in path.split("."):
+        value = value[key]
+    if type(value) is not kind:
+        raise ValueError(f"trace header field {path!r} is not {_KINDS[kind]}: {value!r}")
+    return value
+
+
 def parse_header(line: str) -> TraceHeader:
     """The header of a trace; a ValueError names a field it lacks or whose
     type is wrong."""
     try:
         raw = _object(line)
-        n, edges = raw["graph"]["n"], [tuple(e) for e in raw["graph"]["edges"]]
-        if type(n) is not int:  # a bool would pass as 0 or 1
-            raise ValueError(f"trace header field 'graph.n' is not an integer: {n!r}")
+        for name in ("graph", "ids"):  # before the fields inside them
+            _field(raw, name, dict)
+        n, edges = _field(raw, "graph.n", int), _field(raw, "graph.edges", list)
+        pair = next((e for e in edges if type(e) is not list or len(e) != 2), None)
+        if pair is not None:
+            raise ValueError(f"trace header field 'graph.edges' holds {pair!r}, not a pair")
         ends = list(map(type, chain.from_iterable(edges)))
         if ends.count(int) != len(ends):
             odd = next(v for v in chain.from_iterable(edges) if type(v) is not int)
             raise ValueError(f"trace header field 'graph.edges' holds {odd!r}, not an integer")
         graph = from_edges(n, edges)
-        ids = IdAssignment(tuple(raw["ids"]["values"]), raw["ids"]["kind"])
-        sched, seed, horizon = raw["sched"], raw["seed"], raw["horizon"]
-        if type(sched) is not str:
-            raise ValueError(f"trace header field 'sched' is not a string: {sched!r}")
-        for name, value in (("seed", seed), ("horizon", horizon)):
-            if type(value) is not int:
-                raise ValueError(f"trace header field {name!r} is not an integer: {value!r}")
+        ids = IdAssignment(tuple(_field(raw, "ids.values", list)), raw["ids"]["kind"])
+        sched = _field(raw, "sched", str)
+        seed, horizon = _field(raw, "seed", int), _field(raw, "horizon", int)
         if horizon < 0:
             raise ValueError(f"trace header field 'horizon' is negative: {horizon}")
         if horizon == 0:
@@ -545,13 +558,13 @@ def read_trace(path: str) -> Trace:
     builds. That sched must be the scheduler's text, and must not name a
     schedule file, which is never opened. Each line, with its newline, is
     accepted only as written for the replay: a step line by one StepEncoder,
-    the final line by final_line with its tstar, and last the header by
-    header_line. The steps end where run's loop stops: no step line may
-    follow a step after which every node of support_after(t + 1) has
-    returned, and tstar is null only when the run did not stop. A
-    ValueError names the file, the 1-based line of the first line that
-    fails, undecodable bytes included, and what in it differs from the
-    replay.
+    the final line by final_line with the replay's tstar, as run reports
+    it, and last the header by header_line. The steps end where run's loop
+    stops: no step line may follow a step after which every node of
+    support_after(t + 1) has returned, and none may be missing before that
+    step or the horizon. A ValueError names the file, the 1-based line of
+    the first line that fails, undecodable bytes included, and what in it
+    differs from the replay.
 
     The file is read line by line, as bytes: only b"\n" ends a line. The
     replay interns the initial states and each Continue state through one
@@ -603,20 +616,11 @@ def read_trace(path: str) -> Trace:
             lineno, final = len(steps) + 2, line.decode()
             ended = final.endswith("\n")
             final = final[:-1] if ended else final
-            tstar = _object(final)["tstar"]
-            last, moved = len(steps), execution.last_move
-            if tstar is not None and not (type(tstar) is int and 0 <= tstar <= last):
-                raise ValueError(f"tstar {tstar!r} is neither null nor a step from 0 to {last}")
-            if tstar is None and last < horizon:
-                raise ValueError(f"tstar is null, but the steps stop at {last}, "
-                                 f"before the horizon {horizon}")
-            if tstar is not None and tstar != moved:
-                raise ValueError(f"tstar {tstar} is not {moved}, the last step with a decision")
-            if tstar is None and stopped:
-                raise ValueError(f"tstar is null, but the run stops after step {last}")
-            if tstar is not None and not stopped:
-                raise ValueError(f"tstar is {tstar}, but the run goes on after step {last}: "
-                                 f"a node the schedule may still activate is working")
+            last = len(steps)
+            if not stopped and last < horizon:
+                raise ValueError(f"the steps stop at {last}, but the run goes on after step "
+                                 f"{last}: a node the schedule may still activate is working")
+            tstar = execution.last_move if stopped else None  # as run reports it
             trace = Trace(header, steps, returned, dict(enumerate(execution.activations)), tstar)
             expected = final_line(trace)
             if expected != final:

@@ -171,9 +171,8 @@ def random_connected_graph(n: int, max_degree: int, seed: int) -> Graph:
     degree = [0] * n
     edges: set[tuple[int, int]] = set()
     for i in range(1, n):
+        # never empty: order[i - 1], added last, has degree at most 1 < max_degree
         candidates = [p for p in order[:i] if degree[p] < max_degree]
-        if not candidates:
-            raise TopologyError(f"cannot fit {n} nodes in a tree of degree {max_degree}")
         u, v = order[i], rng.choice(candidates)
         edges.add((min(u, v), max(u, v)))
         degree[u] += 1

@@ -43,6 +43,10 @@ def test_run_protocol_topology_mismatch_is_usage_error(tmp_path, capsys):
     edges.write_text("0 1\n1 2\n2 0\n0 3\n")
     code = run_cli("run", "--protocol", "fast5", "--graph", str(edges))
     assert code == 2
+    capsys.readouterr()
+    code = run_cli("run", "--protocol", "deltasq", "--graph", str(edges), "--ids", "chain")
+    assert code == 2
+    assert capsys.readouterr().err == "error: chain ids are defined on cycles\n"
 
 
 def test_unknown_subcommand_is_usage_error(capsys):
@@ -119,6 +123,35 @@ def test_a_trace_with_horizon_0_is_usage_error(tmp_path, capsys):
     for command in (("audit", str(path)), ("run", "--from-trace", str(path))):
         assert run_cli(*command) == 2
         assert capsys.readouterr().err == f"error: trace file {path} line 1: {problem}\n"
+
+
+def test_run_from_trace_names_the_header_line_as_audit_does(tmp_path, capsys):
+    """A header that parses but whose instance or sched does not build, or
+    whose field has another JSON type: audit and run --from-trace both refuse
+    it at line 1 with one message."""
+    path = chain_traces(tmp_path)[0]
+    lines = path.read_text().splitlines(keepends=True)
+    header = json.loads(lines[0])
+    path_edges = [[p, p + 1] for p in range(4)]
+    for edit, problem in (
+        ({"protocol": "slow7"}, "unknown protocol 'slow7'"),
+        ({"ids": {**header["ids"], "values": [0, 1, 2, 3]}},
+         "assignment covers 4 nodes, graph has 5"),
+        ({"graph": {"n": 5, "edges": path_edges}}, "slow6 runs on cycles only"),
+        ({"sched": "bogus"}, "unknown scheduler descriptor 'bogus'"),
+        ({"graph": 5}, "trace header field 'graph' is not an object: 5"),
+        ({"ids": [1]}, "trace header field 'ids' is not an object: [1]"),
+        ({"graph": {"n": 5, "edges": 5}}, "trace header field 'graph.edges' is not a list: 5"),
+        ({"ids": {**header["ids"], "values": 5}},
+         "trace header field 'ids.values' is not a list: 5"),
+        ({"graph": {"n": 5, "edges": [[1], *path_edges]}},
+         "trace header field 'graph.edges' holds [1], not a pair"),
+    ):
+        path.write_text(json.dumps({**header, **edit}) + "\n" + "".join(lines[1:]))
+        capsys.readouterr()
+        for command in (("audit", str(path)), ("run", "--from-trace", str(path))):
+            assert run_cli(*command) == 2
+            assert capsys.readouterr().err == f"error: trace file {path} line 1: {problem}\n"
 
 
 def test_zero_horizon_is_usage_error(capsys):
@@ -231,6 +264,16 @@ def test_mc_requires_bound(capsys):
     assert run_cli("mc", "--protocol", "slow6", "--n", "3", "--ids", "1,2,5") == 2
 
 
+def test_mc_past_the_state_space_ceiling_is_violation(capsys, monkeypatch):
+    def exceeded(*args, **kwargs):
+        raise schedulers.StateSpaceExceeded("more than 3 configurations")
+
+    monkeypatch.setattr(schedulers, "exhaustive_check", exceeded)
+    code = run_cli("mc", "--protocol", "slow6", "--n", "3", "--ids", "1,2,5", "--bound", "8")
+    assert code == 1
+    assert capsys.readouterr().out == "state space exceeded: more than 3 configurations\n"
+
+
 def test_worstcase_slow6(tmp_path, capsys):
     sched_path = tmp_path / "worst.sched"
     code = run_cli(
@@ -243,6 +286,14 @@ def test_worstcase_slow6(tmp_path, capsys):
     assert sched_path.exists()
     worst = int(out.split("worst_max_activations: ")[1].split()[0])
     assert 1 <= worst <= 8
+
+
+def test_worstcase_past_its_bound_is_violation(capsys):
+    code = run_cli("worstcase", "--protocol", "slow6", "--n", "3", "--ids", "1,2,5",
+                   "--budget", "5", "--bound", "0")
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert lines[1:] == ["bound: 0", "bound exceeded"]
 
 
 def test_lemmas_smoke_runs_in_acceptance_only():
@@ -530,8 +581,8 @@ def test_audit_of_a_broken_file_is_usage_error(tmp_path, capsys):
         (3, {**final, "out": {**out, "1": [True, 0]}}, 4,
          "node 1 has out [true, 0], the replay [1, 0]"),
         (0, {**header, "horizon": 1}, 3, "step 2 is past the header's horizon 1"),
-        (3, {**final, "tstar": None}, 4, "tstar is null, but the steps stop at 2"),
-        (3, {**final, "tstar": 1}, 4, "tstar 1 is not 2, the last step with a decision"),
+        (3, {**final, "tstar": None}, 4, "tstar is null, the replay 2"),
+        (3, {**final, "tstar": 1}, 4, "tstar is 1, the replay 2"),
         # node 1 moves after this forged return: the return is the line named
         (1, {**step, "dec": {**step["dec"], "1": ["ret", [1, 0]]}}, 2,
          'node 1 has dec ["ret", [1, 0]], the replay of step 1 ["cont", [1, 1, 0]]'),
@@ -688,7 +739,7 @@ def test_thousands_of_nested_crash_prefixes_are_usage_errors(tmp_path, capsys):
     assert run_cli("audit", str(path)) == 2
     assert capsys.readouterr().err == f"error: trace file {path} line 1: {problem}"
     assert run_cli("run", "--from-trace", str(path)) == 2
-    assert capsys.readouterr().err == f"error: {problem}"
+    assert capsys.readouterr().err == f"error: trace file {path} line 1: {problem}"
 
 
 def mutants(rng, data, count):

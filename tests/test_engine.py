@@ -576,13 +576,20 @@ def _return_early(lines, i):
         (_replace("final", "[1]"), "not a JSON object"),
         (_header_graph("edge", [False, True]), "field 'graph.edges' holds False, not an integer"),
         (_header_graph("n", 4.0), "field 'graph.n' is not an integer: 4.0"),
+        (_header_field("graph", 5), "field 'graph' is not an object: 5"),
+        (_header_field("ids", [1]), "field 'ids' is not an object: [1]"),
+        (_header_graph("edges", 5), "field 'graph.edges' is not a list: 5"),
+        (_header_field("ids", {"kind": "unique", "values": 5}),
+         "field 'ids.values' is not a list: 5"),
+        (_header_graph("edge", [1]), "field 'graph.edges' holds [1], not a pair"),
         (_edit_step(lambda raw: raw.update(t=99)), "t 99 is not this line's step number"),
-        (_final_tstar("soon"), "tstar 'soon' is neither null nor a step from 0 to"),
-        (_final_tstar(99), "tstar 99 is neither null nor a step from 0 to"),
-        (_final_tstar(-3), "tstar -3 is neither null nor a step from 0 to"),
+        (_edit_step(lambda raw: raw.update(x=1)), "field 'x' is not in the replay of step 1"),
+        (_final_tstar("soon"), 'tstar is "soon", the replay 6'),
+        (_final_tstar(99), "tstar is 99, the replay 6"),
+        (_final_tstar(-3), "tstar is -3, the replay 6"),
         (_short_horizon, "step 2 is past the header's horizon 1"),
-        (_final_tstar(None), "tstar is null, but the steps stop at 6, before the horizon 200"),
-        (_final_tstar(0), "tstar 0 is not 6, the last step with a decision"),
+        (_final_tstar(None), "tstar is null, the replay 6"),
+        (_final_tstar(0), "tstar is 0, the replay 6"),
         (_return_early,
          'node 0 has dec ["ret", 0], the replay of step 1 ["cont", [3, 0, 1, 1]]'),
         (_final_out(lambda out: out.update({"0": 2})), "node 0 has out 2, the replay 1"),
@@ -598,7 +605,8 @@ def _return_early(lines, i):
          "string-color", "nested-color", "bool-color", "bool-output",
          "unknown-protocol", "string-horizon",
          "negative-horizon", "zero-horizon", "list-header", "int-step", "list-step",
-         "list-final", "bool-edge", "float-node-count", "misnumbered-step",
+         "list-final", "bool-edge", "float-node-count", "int-graph", "list-ids", "int-edges",
+         "int-values", "one-node-edge", "misnumbered-step", "extra-step-field",
          "string-tstar", "tstar-after-last-step", "negative-tstar", "steps-past-horizon",
          "null-tstar-before-horizon", "tstar-not-last-move", "move-after-return",
          "output-differs-from-return", "return-missing-from-out"],
@@ -685,8 +693,8 @@ def test_crash_replay_and_unfinished_traces_read_back(tmp_path, text, horizon):
 
 
 def test_read_trace_refuses_steps_past_where_the_run_stops(tmp_path):
-    """A step line the replay writes, after the step where run stops; and a
-    tstar that disagrees with where the steps stop."""
+    """A step line the replay writes, after the step where run stops; steps
+    that stop before the run does; and a tstar other than the replay's."""
     scheduler = make_scheduler("rand:0.5:3", 5)
     trace = run(new_execution(cycle(5), monotone_chain_ids(5), "slow6"), scheduler, 100)
     path = tmp_path / "trace.jsonl"
@@ -699,11 +707,11 @@ def test_read_trace_refuses_steps_past_where_the_run_stops(tmp_path):
          f"step {t} is past the run's end at step {t - 1}, where every node the schedule "
          "may still activate has returned"),
         (lambda lines: lines[:1] + ['{"out":{},"tstar":0}\n'], 2,
-         "tstar is 0, but the run goes on after step 0: a node the schedule may still "
-         "activate is working"),
+         "the steps stop at 0, but the run goes on after step 0: a node the schedule may "
+         "still activate is working"),
         (lambda lines: [header.replace('"horizon":100', f'"horizon":{t - 1}') + "\n"]
          + lines[1:-1] + [lines[-1].replace(f'"tstar":{t - 1}', '"tstar":null')], t + 1,
-         f"tstar is null, but the run stops after step {t - 1}"),
+         f"tstar is null, the replay {t - 1}"),
     ):
         write_trace(trace, str(path))
         path.write_text("".join(edit(path.read_text().splitlines(keepends=True))))

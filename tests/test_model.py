@@ -101,6 +101,23 @@ def test_monotone_chain_single_extrema(n):
     assert sum(down == 0 for _, down in distances) == 1
 
 
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: from_edges(3, [(0, 1), (0, 3)]), TopologyError, "edge 0-3 out of range for 3 nodes"),
+    (lambda: parse_edge_list(["# no edge", ""]), TopologyError, "edge list is empty"),
+    (lambda: random_connected_graph(1, 3, 0), TopologyError, "need at least 2 nodes"),
+    (lambda: random_connected_graph(5, 1, 0), TopologyError, "max_degree must be at least 2"),
+    (lambda: monotone_chain_ids(2), TopologyError, "a cycle needs at least 3 nodes, got 2"),
+    (lambda: proper_coloring_ids(cycle(4), 1), ColoringInfeasible, "at least 2 colors are needed"),
+    (lambda: parse_id_list(["0 5", "1 1", "0 9"], cycle(3)), ValueError,
+     "line 3: node 0 assigned twice"),
+], ids=["edge-out-of-range", "empty-edge-list", "one-node-graph", "degree-1-graph",
+        "two-node-chain", "one-color", "node-assigned-twice"])
+def test_constructors_name_what_they_refuse(build, error, message):
+    with pytest.raises(error) as excinfo:
+        build()
+    assert str(excinfo.value) == message
+
+
 def test_proper_two_coloring_even_ring():
     g = cycle(6)
     ids = proper_coloring_ids(g, 2, seed=0)

@@ -85,6 +85,14 @@ def test_slow6_wrong_arity():
         slow6_activate(initial_state(SLOW6, 5), (None, None, None))
 
 
+@pytest.mark.parametrize("protocol, activate", [(SLOW5, slow5_activate), (FAST5, fast5_activate)])
+@pytest.mark.parametrize("views", [(None,), (None, None, None)])
+def test_five_color_protocols_refuse_other_view_counts(protocol, activate, views):
+    with pytest.raises(ValueError) as excinfo:
+        activate(initial_state(protocol, 5), views)
+    assert str(excinfo.value) == f"{protocol} expects 2 neighbor views, got {len(views)}"
+
+
 view_values = st.integers(min_value=0, max_value=30)
 colors = st.integers(min_value=0, max_value=3)
 
@@ -293,6 +301,9 @@ def test_palette_membership():
     assert not palette_ok(SLOW5, 5)
     assert palette_ok(DELTASQ, (2, 1), delta=3)
     assert not palette_ok(DELTASQ, (2, 2), delta=3)
+    with pytest.raises(ValueError) as excinfo:
+        palette_ok("slow7", 0)
+    assert str(excinfo.value) == "unknown protocol 'slow7'"
 
 
 @pytest.mark.parametrize(

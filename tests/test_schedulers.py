@@ -306,6 +306,13 @@ def test_worst_case_search_respects_declared_bound():
     assert 1 <= worst <= 3 * 3 // 2 + 4
 
 
+def test_worst_case_search_refuses_budget_0():
+    g = cycle(3)
+    with pytest.raises(ValueError) as excinfo:
+        worst_case_search(g, explicit_ids(g, [1, 2, 5]), "slow6", budget=0, seed=9)
+    assert str(excinfo.value) == "budget must be at least 1"
+
+
 def test_worst_case_search_budget_one_is_single_sample():
     g = cycle(3)
     ids = explicit_ids(g, [1, 2, 5])
