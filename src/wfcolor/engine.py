@@ -12,10 +12,12 @@ run's reference loop and the exhaustive model checker call it. `kernel.py`
 restates it on numpy arrays for large cycles, where `run` hands it the run;
 tests/test_kernel.py checks that restatement against `step`.
 
-An execution is its registers, states (built on first read), returns,
-activation counts and step count. `run` takes a fresh execution only, so a
-trace describes the whole execution from its first step: the trace is the
-outcome, and the kernel builds its tables from the ids and the graph alone.
+An execution is its registers and states (both built on first read),
+returns, activation counts and step count. `run` takes a fresh execution
+only, so a trace describes the whole execution from its first step: the
+trace is the outcome, and the kernel builds its tables from the ids and the
+graph alone. A trace's per-node keys, in its outputs and its activation
+counts, are the graph's own ints (`Graph.nodes`) on every path.
 
 Traces serialize as line-delimited JSON: a header line, one line per step
 with fields t/act/w/rd/dec, and a final line with out/tstar. Identical
@@ -101,14 +103,20 @@ class Execution:
         self.graph = graph
         self.ids = ids
         self.protocol = protocol
-        self.registers: list[View] = [None] * graph.node_count
         self.returned: dict[int, Color] = {}  # a node works until it returns
         self.activations: list[int] = [0] * graph.node_count
         self.last_move = 0  # the last step at which a working process moved
         self._activate = ACTIVATE[protocol]
         self._t = 0
         # set here: an attribute added after __init__ slows small runs ~10% on CPython 3.11
+        self._registers: list[View] | None = None
         self._states: list[ProtocolState] | None = None
+
+    @property
+    def registers(self) -> list[View]:
+        if self._registers is None:  # built on first read, as the states are
+            self._registers = [None] * self.graph.node_count
+        return self._registers
 
     @property
     def states(self) -> list[ProtocolState]:
@@ -122,7 +130,8 @@ class Execution:
 
     def _moved(self, movers: Sequence[int], decisions: Sequence[Decision]) -> None:
         """Count one step whose movers took these decisions: the step count,
-        last_move, each mover's activation and each return."""
+        last_move, each mover's activation and each return, keyed by the
+        graph's int for its node (Graph.nodes), not the scheduler's."""
         self._t += 1
         if movers:
             self.last_move = self._t
@@ -131,7 +140,7 @@ class Execution:
         for p, decision in zip(movers, decisions):
             activations[p] += 1
             if type(decision) is Return:
-                returned[p] = decision.color
+                returned[self.graph.nodes[p]] = decision.color
 
     def apply_step(self, activated: Iterable[int]) -> StepRecord:
         """Run one simultaneous step for the given activation set, and return
@@ -280,7 +289,8 @@ def run(
         seed,
         horizon,
     )
-    return Trace(header, steps, execution.returned, dict(enumerate(execution.activations)), tstar)
+    activations = dict(zip(execution.graph.nodes, execution.activations))
+    return Trace(header, steps, execution.returned, activations, tstar)
 
 
 def _kernel(execution: Execution, scheduler):
@@ -499,6 +509,9 @@ def parse_header(line: str) -> TraceHeader:
         for name in ("graph", "ids"):  # before the fields inside them
             _field(raw, name, dict)
         n, edges = _field(raw, "graph.n", int), _field(raw, "graph.edges", list)
+        if n < 1:
+            raise ValueError(f"trace header field 'graph.n' is {n}, "
+                             f"but a graph has at least 1 node")
         pair = next((e for e in edges if type(e) is not list or len(e) != 2), None)
         if pair is not None:
             raise ValueError(f"trace header field 'graph.edges' holds {pair!r}, not a pair")
@@ -621,7 +634,8 @@ def read_trace(path: str) -> Trace:
                 raise ValueError(f"the steps stop at {last}, but the run goes on after step "
                                  f"{last}: a node the schedule may still activate is working")
             tstar = execution.last_move if stopped else None  # as run reports it
-            trace = Trace(header, steps, returned, dict(enumerate(execution.activations)), tstar)
+            activations = dict(zip(header.graph.nodes, execution.activations))
+            trace = Trace(header, steps, returned, activations, tstar)
             expected = final_line(trace)
             if expected != final:
                 raise ValueError(_difference(final, expected, n))

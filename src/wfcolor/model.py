@@ -81,6 +81,17 @@ class Graph:
         return order
 
     @cached_property
+    def nodes(self) -> tuple[int, ...]:
+        """The node labels 0..n-1, one int object per node, built on first
+        read and kept in the graph. A run takes the keys of its returns and
+        activation counts from here, so its dicts share the graph's n ints
+        instead of each allocating its own: CPython makes a fresh 28-byte
+        int for every computed value from 257 on, about 2.8 MB per dict on
+        10^5 nodes. `cycle` seeds it with the ints its adjacency tuples
+        hold."""
+        return tuple(range(self.node_count))
+
+    @cached_property
     def is_cycle(self) -> bool:
         return self.node_count >= 3 and set(map(len, self.adjacency)) == {2}
 
@@ -96,8 +107,10 @@ def cycle(n: int) -> Graph:
     """The ring on n >= 3 nodes; node i is adjacent to (i +/- 1) mod n."""
     if n < 3:
         raise TopologyError(f"a cycle needs at least 3 nodes, got {n}")
-    ring = list(range(n))  # one int object per node, shared by its two neighbors' tuples
-    return Graph(n, ((1, n - 1), *zip(ring[:-2], ring[2:]), (0, n - 2)))
+    ring = tuple(range(n))  # one int object per node, shared by its two neighbors' tuples
+    graph = Graph(n, ((ring[1], ring[-1]), *zip(ring[:-2], ring[2:]), (ring[0], ring[-2])))
+    graph.__dict__["nodes"] = ring  # as cached_property keeps it: the same ints
+    return graph
 
 
 def from_edges(node_count: int, edges: Iterable[tuple[int, int]]) -> Graph:

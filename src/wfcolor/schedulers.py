@@ -24,6 +24,8 @@ of all nodes, on its first call.
 
 A rand: scheduler on fewer than KERNEL_MIN_NODES nodes reads sigma(t) from a
 process-wide memo of activation sets keyed by (seed, p, n); see _rand_sets.
+The sets a rand: scheduler draws take their members from one tuple of its
+node ints, built by its first draw, so the steps' sets share n ints.
 """
 
 from __future__ import annotations
@@ -178,6 +180,8 @@ class Scheduler:
         self.text = format_descriptor(descriptor)
         self._all = None  # sync's sigma(t), built by the first call of at
         self._sets = None  # rand:'s memo entry, bound by the first call of at
+        # rand:'s node ints, built by the first draw: the steps' sets share them
+        self._nodes: tuple[int, ...] | None = None
         if isinstance(descriptor, RandomSched):
             if not 0 < descriptor.p_act <= 1:
                 raise ValueError(f"activation probability {descriptor.p_act} not in (0,1]")
@@ -212,7 +216,11 @@ class Scheduler:
             if sets is None:
                 sets = self._sets = _rand_sets(d.seed, d.p_act, self.node_count)
             found = sets.get(t)
-            return _draw_set(d, self.node_count, t, sets) if found is None else found
+            if found is None:
+                if self._nodes is None:
+                    self._nodes = tuple(range(self.node_count))
+                found = _draw_set(d, self._nodes, t, sets)
+            return found
         if isinstance(d, Synchronous):
             if self._all is None:
                 self._all = frozenset(range(self.node_count))
@@ -297,13 +305,14 @@ def _rand_sets(seed: int, p: float, n: int) -> dict[int, frozenset[int]]:
     return sets
 
 
-def _draw_set(d: RandomSched, n: int, t: int, sets: dict[int, frozenset[int]]) -> frozenset[int]:
-    """sigma(t) of d on n nodes from its stream, kept in sets while sets is
-    the memo's entry for its key."""
+def _draw_set(d: RandomSched, nodes: tuple[int, ...], t: int,
+              sets: dict[int, frozenset[int]]) -> frozenset[int]:
+    """sigma(t) of d on the nodes 0..n-1 from its stream, its members taken
+    from nodes, and kept in sets while sets is the memo's entry for its key."""
     global _units
     draw, p = random_stream(d.seed, t).random, d.p_act
-    drawn = frozenset([i for i in range(n) if draw() < p])
-    if _SETS.get((d.seed, p, n)) is not sets:  # _UNSTORED, or cleared since it was bound
+    drawn = frozenset([i for i in nodes if draw() < p])
+    if _SETS.get((d.seed, p, len(nodes))) is not sets:  # _UNSTORED, or cleared since it was bound
         return drawn
     shared = _INTERNED.get(drawn)
     units = 1 if shared is not None else 2 + len(drawn)

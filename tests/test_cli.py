@@ -125,6 +125,22 @@ def test_a_trace_with_horizon_0_is_usage_error(tmp_path, capsys):
         assert capsys.readouterr().err == f"error: trace file {path} line 1: {problem}\n"
 
 
+def test_a_trace_with_no_nodes_is_usage_error(tmp_path, capsys):
+    """A header graph of 0 or fewer nodes: audit and run --from-trace both
+    refuse it at line 1, naming the field."""
+    path = chain_traces(tmp_path)[0]
+    lines = path.read_text().splitlines(keepends=True)
+    header = json.loads(lines[0])
+    for n in (0, -1):
+        path.write_text(json.dumps({**header, "graph": {"n": n, "edges": []}}) + "\n"
+                        + "".join(lines[1:]))
+        capsys.readouterr()
+        problem = f"trace header field 'graph.n' is {n}, but a graph has at least 1 node"
+        for command in (("audit", str(path)), ("run", "--from-trace", str(path))):
+            assert run_cli(*command) == 2
+            assert capsys.readouterr().err == f"error: trace file {path} line 1: {problem}\n"
+
+
 def test_run_from_trace_names_the_header_line_as_audit_does(tmp_path, capsys):
     """A header that parses but whose instance or sched does not build, or
     whose field has another JSON type: audit and run --from-trace both refuse

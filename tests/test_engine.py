@@ -331,6 +331,31 @@ def test_trace_round_trip(tmp_path):
     assert any(None in views for record in loaded.steps for views in record.reads.values())
 
 
+def assert_keys_are_the_graphs(trace):
+    """Every per-node key of a trace is the graph's own int for its node."""
+    nodes = trace.header.graph.nodes
+    assert len(trace.outputs) == len(trace.activations) == len(nodes)
+    for keys in (trace.outputs, trace.activations):
+        assert all(p is nodes[p] for p in keys)
+
+
+@pytest.mark.parametrize("sched", ["sync", "rr", "rand:0.5:3"])
+def test_a_trace_keys_its_nodes_by_the_graphs_ints(tmp_path, sched):
+    # 300 nodes: from 257 on CPython makes a fresh int object for each
+    # computed value; below KERNEL_MIN_NODES, so the reference loop runs
+    n = 300
+    g = cycle(n)
+    ids = random_unique_ids(g, seed=1)
+    horizon = default_horizon("slow6", n)
+    traces = [run(new_execution(g, ids, "slow6"), make_scheduler(sched, n), horizon,
+                  keep_steps=keep_steps) for keep_steps in (True, False)]
+    path = tmp_path / "trace.jsonl"
+    write_trace(traces[0], str(path))
+    for trace in traces + [read_trace(str(path))]:
+        assert trace.terminated
+        assert_keys_are_the_graphs(trace)
+
+
 def test_read_trace_shares_one_state_per_distinct_record(tmp_path):
     g = cycle(9)
     ex = new_execution(g, explicit_ids(g, [40, 3, 17, 25, 8, 31, 12, 50, 21]), "slow6")
@@ -576,6 +601,8 @@ def _return_early(lines, i):
         (_replace("final", "[1]"), "not a JSON object"),
         (_header_graph("edge", [False, True]), "field 'graph.edges' holds False, not an integer"),
         (_header_graph("n", 4.0), "field 'graph.n' is not an integer: 4.0"),
+        (_header_graph("n", 0), "field 'graph.n' is 0, but a graph has at least 1 node"),
+        (_header_graph("n", -1), "field 'graph.n' is -1, but a graph has at least 1 node"),
         (_header_field("graph", 5), "field 'graph' is not an object: 5"),
         (_header_field("ids", [1]), "field 'ids' is not an object: [1]"),
         (_header_graph("edges", 5), "field 'graph.edges' is not a list: 5"),
@@ -605,9 +632,9 @@ def _return_early(lines, i):
          "string-color", "nested-color", "bool-color", "bool-output",
          "unknown-protocol", "string-horizon",
          "negative-horizon", "zero-horizon", "list-header", "int-step", "list-step",
-         "list-final", "bool-edge", "float-node-count", "int-graph", "list-ids", "int-edges",
-         "int-values", "one-node-edge", "misnumbered-step", "extra-step-field",
-         "string-tstar", "tstar-after-last-step", "negative-tstar", "steps-past-horizon",
+         "list-final", "bool-edge", "float-node-count", "zero-n", "negative-n", "int-graph",
+         "list-ids", "int-edges", "int-values", "one-node-edge", "misnumbered-step",
+         "extra-step-field", "string-tstar", "tstar-after-last-step", "negative-tstar", "steps-past-horizon",
          "null-tstar-before-horizon", "tstar-not-last-move", "move-after-return",
          "output-differs-from-return", "return-missing-from-out"],
 )

@@ -155,12 +155,26 @@ def test_a_kernel_run_records_only_what_the_trace_reports(text):
     tstar = engine._run_steps(ref, make_scheduler(text, n), 400, (), None)
     assert trace.tstar == tstar is not None
     assert trace.outputs is ker.returned  # not a copy: the execution is spent
+    assert ker._registers is None and ker._states is None  # neither was ever built
     assert ker.registers == [None] * n
-    assert ker._states is None  # the states were never built
     assert scheduler._all is None  # nor the set of all nodes
     for name in STATE:
         assert getattr(ker, name) == getattr(ref, name), name
     assert list(ker.returned) == list(ref.returned)
+
+
+@pytest.mark.parametrize("protocol", CYCLE_ONLY)
+def test_a_kernel_trace_keys_its_nodes_by_the_graphs_ints(protocol):
+    n = engine.KERNEL_MIN_NODES
+    graph = cycle(n)
+    execution = new_execution(graph, random_unique_ids(graph, seed=4), protocol)
+    trace = engine.run(execution, make_scheduler("rand:0.5:0", n),
+                       engine.default_horizon(protocol, n), keep_steps=False)
+    assert trace.terminated and len(trace.outputs) == len(trace.activations) == n
+    for keys in (trace.outputs, trace.activations):
+        assert all(p is graph.nodes[p] for p in keys)
+    if protocol == "slow6":  # a pair color is one of six shared tuples
+        assert len({id(color) for color in trace.outputs.values()}) <= 6
 
 
 @pytest.mark.parametrize("protocol", CYCLE_ONLY)

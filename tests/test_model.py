@@ -288,6 +288,20 @@ def test_cycle_adjacency_is_the_sorted_ring_neighbors():
         ), n
 
 
+@pytest.mark.parametrize("n", [3, 4, 300])
+def test_a_cycles_nodes_are_the_ints_its_adjacency_holds(n):
+    # from 257 on CPython makes a fresh int object for each computed value
+    g = cycle(n)
+    assert g.nodes == tuple(range(n)) and g.nodes is g.nodes
+    for p, nbrs in enumerate(g.adjacency):
+        assert all(q is g.nodes[q] for q in nbrs), p
+
+
+def test_a_graphs_nodes_are_its_labels_built_once():
+    g = from_edges(300, ((p, p + 1) for p in range(299)))
+    assert g.nodes == tuple(range(300)) and g.nodes is g.nodes
+
+
 def test_is_cycle_and_max_degree():
     assert cycle(5).is_cycle and cycle(5).max_degree == 2
     path = from_edges(3, [(0, 1), (1, 2)])

@@ -156,6 +156,19 @@ def test_a_rand_descriptor_seeds_each_step_in_two_runs_at_most(monkeypatch):
 
 
 @pytest.mark.usefixtures("fresh_memo")
+@pytest.mark.parametrize("n", [300, KERNEL_MIN_NODES])
+def test_the_rand_sets_of_a_scheduler_share_one_int_per_node(n):
+    # from 257 on CPython makes a fresh int object for each computed value;
+    # below KERNEL_MIN_NODES the second use stores its sets, the third reads them
+    for _ in range(3):
+        s = make_scheduler("rand:0.5:3", n)
+        sets = [s.at(t) for t in range(1, 9)]
+        members = [p for drawn in sets for p in drawn]
+        assert len({id(p) for p in members}) == len(set(members)) > n // 2
+        assert sets == [_defined_rand_set(0.5, 3, t, n) for t in range(1, 9)]
+
+
+@pytest.mark.usefixtures("fresh_memo")
 def test_the_draws_memo_stays_under_its_cap(monkeypatch):
     cap = 400
     monkeypatch.setattr(schedulers, "_SETS_CAP", cap)
