@@ -327,23 +327,17 @@ def cmd_mc(cfg: ExperimentConfig) -> int:
     print(f"memo_hits: {report.memo_hits}")
     print(f"max_activations: {report.max_activations}")
     print(f"verdict: {report.verdict}")
-    for counterexample in report.safety_violations:
-        print(f"safety violation: {counterexample.detail}")
+    counterexample = report.counterexample
+    if counterexample is not None:
+        print(f"{counterexample.kind} violation: {counterexample.detail}")
         print(f"  schedule: {list(counterexample.schedule)}")
-    for node, count in report.bound_violations:
-        print(f"bound violation: node {node} reached {count} > {bound}")
-        if report.bound_schedule is not None:
-            print(f"  schedule: {list(report.bound_schedule)}")
     print(f"transitions: {report.transitions}")
     print(f"max_depth: {report.max_depth}")
     print(f"transitions_per_s: {report.transitions / wall_s:.0f}")
-    if report.verdict == "pass":
+    if counterexample is None:
         return OK
     if cfg.trace:
-        schedule = report.bound_schedule
-        if report.safety_violations:
-            schedule = report.safety_violations[0].schedule
-        schedulers.save_schedule(schedule, cfg.trace)
+        schedulers.save_schedule(counterexample.schedule, cfg.trace)
         print(f"counterexample schedule written to {cfg.trace}")
     return VIOLATION
 
@@ -398,6 +392,8 @@ _FLAGS = {
     "budget": dict(type=int, help="search budget for worstcase"),
     "from-trace": dict(help="re-run the header of a stored trace"),
 }
+# the run flags a trace header fixes, which run --from-trace reads from the header
+_HEADER_FLAGS = ("protocol", "n", "graph", "ids", "seed", "sched", "horizon")
 _COMMANDS = {
     "run": ("execute one trace and audit it", ("sched", "horizon", "trace", "from-trace")),
     "sweep": ("run seeded trials and report statistics", ("sched", "horizon", "trials", "bound")),
@@ -444,6 +440,9 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"unrecognized arguments: {' '.join(head)}")
         if extra:
             subparsers[args.command].error(f"unrecognized arguments: {' '.join(extra)}")
+        given = [f"--{flag}" for flag in _HEADER_FLAGS if getattr(args, flag, None) is not None]
+        if given and getattr(args, "from_trace", None) is not None:
+            subparsers["run"].error(f"argument --from-trace: not allowed with {', '.join(given)}")
     except SystemExit as exc:
         return USAGE if exc.code else OK
     if args.command == "lemmas":

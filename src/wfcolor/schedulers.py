@@ -31,7 +31,7 @@ node ints, built by its first draw, so the steps' sets share n ints.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
@@ -431,6 +431,9 @@ class StateSpaceExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class Counterexample:
+    """A search's first violation: kind "safety" or "bound", the schedule to it, its detail."""
+
+    kind: str
     schedule: tuple[tuple[int, ...], ...]
     detail: str
 
@@ -438,24 +441,20 @@ class Counterexample:
 @dataclass
 class McReport:
     explored: int
-    safety_violations: list[Counterexample] = field(default_factory=list)
-    bound_violations: list[tuple[int, int]] = field(default_factory=list)
-    bound_schedule: tuple[tuple[int, ...], ...] | None = None
+    counterexample: Counterexample | None = None  # the first violation; None on a pass
     memo_hits: int = 0
     max_activations: int = 0
     max_depth: int = 0  # longest schedule on the DFS stack
 
     @property
     def verdict(self) -> str:
-        if self.safety_violations or self.bound_violations:
-            return "fail"
-        return "pass"
+        return "pass" if self.counterexample is None else "fail"
 
     @property
     def transitions(self) -> int:
         """Steps taken: each reached a new configuration, a seen one, or a
         violation that ended the search."""
-        return self.explored - 1 + self.memo_hits + (self.verdict == "fail")
+        return self.explored - 1 + self.memo_hits + (self.counterexample is not None)
 
 
 def exhaustive_check(
@@ -474,7 +473,8 @@ def exhaustive_check(
     colors and that no process worked past the activation bound. Each DFS
     stack entry holds a configuration, its working subsets and a countdown
     whose subset is the step to the entry above (or, at the top, the step
-    taken); at the first violation the witness is those steps, in order.
+    taken); the first violation ends the search, and the counterexample's
+    schedule is those steps, in order.
 
     A configuration holds small ints: each distinct ProtocolState gets an id
     the first time it appears, the unwritten register (None) is id 0, and
@@ -551,6 +551,10 @@ def exhaustive_check(
     first = subsets(initial[2])
     stack = [[initial, first, len(first)]]
 
+    def fail(kind: str, detail: str) -> McReport:
+        report.counterexample = Counterexample(kind, tuple(e[1][e[2]] for e in stack), detail)
+        return report
+
     while stack:
         entry = stack[-1]
         left = entry[2]
@@ -571,9 +575,7 @@ def exhaustive_check(
             if counted:
                 new_counts[p] += 1
                 if new_counts[p] > activation_bound:
-                    report.bound_violations.append((p, new_counts[p]))
-                    report.bound_schedule = tuple(e[1][e[2]] for e in stack)
-                    return report
+                    return fail("bound", f"node {p} reached {new_counts[p]} > {activation_bound}")
             if type(decision) is Return:
                 new_outputs[p] = decision.color
         for p in movers:  # after the loop above: every simultaneous returner is set
@@ -584,16 +586,10 @@ def exhaustive_check(
             if ok is None:
                 ok = in_palette[color] = palette_ok(protocol, color, delta)
             if not ok:
-                detail = f"node {p} returned {color!r} outside the palette"
-                schedule = tuple(e[1][e[2]] for e in stack)
-                report.safety_violations.append(Counterexample(schedule, detail))
-                return report
+                return fail("safety", f"node {p} returned {color!r} outside the palette")
             for q in adjacency[p]:
                 if new_outputs[q] == color:
-                    detail = f"adjacent nodes {q},{p} both returned {color!r}"
-                    schedule = tuple(e[1][e[2]] for e in stack)
-                    report.safety_violations.append(Counterexample(schedule, detail))
-                    return report
+                    return fail("safety", f"adjacent nodes {q},{p} both returned {color!r}")
         new_config = (
             tuple(new_registers),
             tuple(new_states),

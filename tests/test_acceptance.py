@@ -159,7 +159,7 @@ def test_c05_exhaustive_slow6_triangle_and_square():
     g3 = cycle(3)
     for perm in permutations((1, 2, 5)):
         report = exhaustive_check(g3, explicit_ids(g3, perm), "slow6", 8)
-        assert report.verdict == "pass", (perm, report.bound_violations, report.safety_violations)
+        assert report.verdict == "pass", (perm, report.counterexample)
     g4 = cycle(4)
     report = exhaustive_check(g4, explicit_ids(g4, (1, 2, 5, 9)), "slow6", 10)
     assert report.verdict == "pass"
@@ -175,12 +175,12 @@ def test_c05_exhaustive_slow5_triangle_bound():
     for perm in permutations((1, 2, 5)):
         report = exhaustive_check(g3, explicit_ids(g3, perm), "slow5", 17)
         if report.verdict != "pass":
-            failures.append((perm, report.bound_violations, report.bound_schedule))
+            failures.append((perm, report.counterexample))
     assert not failures, (
         "slow5 exceeded 17 working activations under adversarial schedules: "
         + "; ".join(
-            f"ids={perm} node/count={viol} schedule={list(sched)}"
-            for perm, viol, sched in failures[:2]
+            f"ids={perm} {cex.detail} schedule={list(cex.schedule)}"
+            for perm, cex in failures[:2]
         )
     )
     print("criterion 5 (slow5 part): PASS - exhaustive bound 17 holds")
@@ -189,7 +189,7 @@ def test_c05_exhaustive_slow5_triangle_bound():
 def test_c05_exhaustive_fast5_triangle_safety():
     g3 = cycle(3)
     report = exhaustive_check(g3, explicit_ids(g3, (1, 2, 5)), "fast5", None)
-    assert report.verdict == "pass", report.safety_violations
+    assert report.verdict == "pass", report.counterexample
     assert report.explored > 1000
     print(
         "criterion 5 (fast5 safety part): PASS - "
@@ -206,7 +206,7 @@ def test_c05_exhaustive_fast5_triangle_bound_exists():
     report = exhaustive_check(g3, explicit_ids(g3, (1, 2, 5)), "fast5", FAST5_TRIANGLE_BOUND_PROBE)
     assert report.verdict == "pass", (
         f"no finite activation bound below {FAST5_TRIANGLE_BOUND_PROBE}: "
-        f"node/count={report.bound_violations} schedule={list(report.bound_schedule or ())}"
+        f"{report.counterexample.detail} schedule={list(report.counterexample.schedule)}"
     )
     derived = report.max_activations
     confirm = exhaustive_check(g3, explicit_ids(g3, (1, 2, 5)), "fast5", derived)

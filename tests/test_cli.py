@@ -6,12 +6,13 @@ import random
 import string
 import subprocess
 import sys
+from functools import partial
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
 import wfcolor
-from wfcolor import analysis, cli, protocols, schedulers
+from wfcolor import analysis, cli, cointoss, protocols, schedulers
 from wfcolor.cli import ExperimentConfig, main
 from wfcolor.engine import new_execution, run, write_trace
 from wfcolor.model import cycle, explicit_ids
@@ -71,6 +72,29 @@ def test_run_writes_replayable_trace(tmp_path, capsys, protocol, n):
     code = run_cli("run", "--from-trace", str(first), "--trace", str(second))
     assert code == 0
     assert first.read_bytes() == second.read_bytes()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("protocol", "slow6"), ("n", "9"), ("graph", "ring.edges"), ("ids", "chain"),
+    ("seed", "3"), ("sched", "rr"), ("horizon", "3"),
+])
+def test_from_trace_refuses_a_flag_its_header_fixes(tmp_path, capsys, flag, value):
+    """run --from-trace reads the run from the trace header: the same setting
+    as a flag exits 2, names the flag and writes nothing, and as a config key
+    it is skipped."""
+    first = tmp_path / "t5.jsonl"
+    second = tmp_path / "t6.jsonl"
+    assert run_cli("run", "--protocol", "fast5", "--n", "5", "--trace", str(first)) == 0
+    capsys.readouterr()
+    argv = ["run", "--from-trace", str(first), "--trace", str(second)]
+    assert run_cli(*argv, f"--{flag}", value) == 2
+    assert capsys.readouterr().err.endswith(
+        f"error: argument --from-trace: not allowed with --{flag}\n")
+    assert not second.exists()
+    config = tmp_path / "exp.cfg"
+    config.write_text(f"{flag}={value}\n")
+    assert run_cli(*argv, "--config", str(config)) == 0
+    assert second.read_bytes() == first.read_bytes()
 
 
 def test_a_file_replay_trace_holds_its_sets_and_outlives_the_file(tmp_path, capsys):
@@ -319,6 +343,30 @@ def test_lemmas_smoke_runs_in_acceptance_only():
 
     checked, bad = check_contraction(limit=64)
     assert checked > 0 and bad == []
+
+
+def test_lemmas_prints_the_counterexamples_of_a_wrong_reduction(capsys, monkeypatch):
+    """A reduction that keeps x's low four bits fails contraction and chain
+    coloring, and a log-star that drops after x = 1 fails decay: lemmas
+    prints the first counterexamples of each, on small limits, and exits 1."""
+    monkeypatch.setattr(cointoss, "cv_reduce", lambda x, y: x % 16)
+    monkeypatch.setattr(cointoss, "logstar_steps", lambda x: 9 if x in (1, 2**63) else 0)
+    monkeypatch.setattr(cointoss, "check_contraction",
+                        partial(cointoss.check_contraction, limit=32))
+    monkeypatch.setattr(cointoss, "check_chain_coloring",
+                        partial(cointoss.check_chain_coloring, limit=32))
+    assert run_cli("lemmas") == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "contraction: checked 231 pairs, 36 counterexamples"
+    assert lines[1:3] == ["  f(11,10) = 11 >= 10", "  f(12,10) = 12 >= 10"]
+    assert lines[11] == "chain_coloring: checked 4960 triples, 15 counterexamples"
+    assert lines[12:14] == ["  f(17,1) = f(1,0) = 1", "  f(18,2) = f(2,0) = 2"]
+    assert lines[22:] == [
+        "logstar_decay: checked 4161 points, 3 issues",
+        "  logstar_steps decreased at x=2",
+        "  logstar_steps decreased at x=2",
+        "  logstar_steps(2**63) = 9 > 5",
+    ]
 
 
 def test_config_round_trip(tmp_path):

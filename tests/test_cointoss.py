@@ -8,6 +8,7 @@ path used by the real function.
 import pytest
 from hypothesis import given, strategies as st
 
+from wfcolor import cointoss
 from wfcolor.cointoss import (
     check_chain_coloring,
     check_contraction,
@@ -98,6 +99,33 @@ def test_logstar_decay_suite():
     checked, issues = check_logstar_decay()
     assert checked > 0
     assert issues == []
+
+
+def _mod16(x: int, y: int) -> int:
+    """A wrong reduction: it keeps x's low four bits and ignores y."""
+    return x % 16
+
+
+def test_contraction_reports_each_pair_a_wrong_reduction_fails(monkeypatch):
+    monkeypatch.setattr(cointoss, "cv_reduce", _mod16)
+    checked, bad = check_contraction(limit=32)
+    assert checked == sum(31 - y for y in range(10, 32))
+    assert bad == [(x, y) for y in range(10, 32) for x in range(y + 1, 32) if x % 16 >= y]
+
+
+def test_chain_coloring_reports_each_middle_a_wrong_reduction_fails(monkeypatch):
+    # f(y + 16, y) = f(y, 0) = y for every y < 16, and for no larger y below 32
+    monkeypatch.setattr(cointoss, "cv_reduce", _mod16)
+    checked, bad = check_chain_coloring(limit=32)
+    assert checked == sum((31 - y) * y for y in range(1, 31))
+    assert bad == [(y + 16, y, 0) for y in range(1, 16)]
+
+
+def test_logstar_decay_reports_a_decrease_and_a_large_top(monkeypatch):
+    monkeypatch.setattr(cointoss, "logstar_steps", lambda x: 9 if x in (1, 2**63) else 0)
+    checked, issues = check_logstar_decay()
+    assert checked == 4096 + 65
+    assert issues == ["logstar_steps decreased at x=2"] * 2 + ["logstar_steps(2**63) = 9 > 5"]
 
 
 @given(

@@ -342,9 +342,8 @@ def test_exhaustive_bound_zero_fails_immediately():
     g = cycle(3)
     report = exhaustive_check(g, explicit_ids(g, [1, 2, 5]), "slow6", 0)
     assert report.verdict == "fail"
-    assert report.bound_violations
-    node, count = report.bound_violations[0]
-    assert count == 1
+    assert report.counterexample.kind == "bound"
+    assert report.counterexample.detail.endswith(" reached 1 > 0")
 
 
 def test_exhaustive_slow6_triangle_passes_declared_bound():
@@ -362,8 +361,8 @@ def test_exhaustive_detects_too_tight_bound():
     passing = exhaustive_check(g, ids, "slow6", 8)
     tight = exhaustive_check(g, ids, "slow6", passing.max_activations - 1)
     assert tight.verdict == "fail"
-    assert tight.bound_violations
-    assert tight.bound_schedule is not None
+    assert tight.counterexample.kind == "bound"
+    assert tight.counterexample.schedule
 
 
 def test_exhaustive_counterexample_schedule_replays():
@@ -373,9 +372,11 @@ def test_exhaustive_counterexample_schedule_replays():
     passing = exhaustive_check(g, ids, "slow6", 8)
     tight_bound = passing.max_activations - 1
     report = exhaustive_check(g, ids, "slow6", tight_bound)
-    node, count = report.bound_violations[0]
+    _, node, _, count, _, bound = report.counterexample.detail.split()
+    assert int(bound) == tight_bound
+    node, count = int(node), int(count)
     ex = new_execution(g, ids, "slow6")
-    for step in report.bound_schedule:
+    for step in report.counterexample.schedule:
         ex.apply_step(set(step))
     assert ex.activations[node] == count > tight_bound
 
@@ -412,8 +413,8 @@ def test_exhaustive_reports_adjacent_equal_returns_with_their_schedule(monkeypat
     report = exhaustive_check(g, explicit_ids(g, [1, 2, 5]), "slow6", bound)
     assert report.verdict == "fail"
     assert report.explored == 2
-    assert not report.bound_violations
-    [counterexample] = report.safety_violations
+    counterexample = report.counterexample
+    assert counterexample.kind == "safety"
     assert counterexample.schedule == ((0, 1, 2), (0, 1, 2))
     assert counterexample.detail == "adjacent nodes 1,0 both returned (0, 0)"
 
@@ -424,7 +425,8 @@ def test_exhaustive_reports_a_return_outside_the_palette(monkeypatch):
     report = exhaustive_check(g, explicit_ids(g, [1, 2, 5]), "slow6", None)
     assert report.verdict == "fail"
     assert report.explored == 1
-    [counterexample] = report.safety_violations
+    counterexample = report.counterexample
+    assert counterexample.kind == "safety"
     assert counterexample.schedule == ((0, 1, 2),)
     assert counterexample.detail == "node 0 returned (3, 0) outside the palette"
 
@@ -439,7 +441,8 @@ def test_exhaustive_safety_witness_replays_on_the_engine(monkeypatch):
     monkeypatch.setitem(protocols.ACTIVATE, "slow6", third_returns)
     g = cycle(3)
     ids = explicit_ids(g, [1, 2, 5])
-    [counterexample] = exhaustive_check(g, ids, "slow6", None).safety_violations
+    counterexample = exhaustive_check(g, ids, "slow6", None).counterexample
+    assert counterexample.kind == "safety"
     assert len(counterexample.schedule) >= 3
     ex = new_execution(g, ids, "slow6")
     for movers in counterexample.schedule:
